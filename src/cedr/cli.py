@@ -137,6 +137,36 @@ def _sync_sequence(feed):
     return out
 
 
+def _guarantee_marks(feed, streams, every: int) -> dict[int, list[tuple[str, Time]]]:
+    """Honest guarantees to declare before each ``every``-th arrival.
+
+    At each mark every stream is promised one less than the smallest finite
+    sync value it still has to deliver, when that is non-negative and
+    higher than its last promise.  One backward pass keeps each stream's
+    suffix minimum.
+    """
+    syncs = _sync_sequence(feed)
+    suffix_min = dict.fromkeys(streams, INF)
+    mins_at: dict[int, dict[str, Time]] = {}
+    for i in range(len(feed) - 1, 0, -1):
+        stream = feed[i][0]
+        if syncs[i] < suffix_min[stream]:
+            suffix_min[stream] = syncs[i]
+        if i % every == 0:
+            mins_at[i] = dict(suffix_min)
+    marks: dict[int, list[tuple[str, Time]]] = {}
+    last: dict[str, Time] = {}
+    for i in sorted(mins_at):
+        for stream in streams:
+            threshold = mins_at[i][stream] - 1
+            if threshold == INF or threshold < 0:
+                continue
+            if threshold > last.get(stream, -1):
+                marks.setdefault(i, []).append((stream, threshold))
+                last[stream] = threshold
+    return marks
+
+
 def cmd_run(args) -> int:
     ticks_per_minute = {"minute": 1, "second": 60}[args.tick_unit]
     ast, plan = _compile_from_file(args.query, ticks_per_minute)
@@ -156,20 +186,11 @@ def cmd_run(args) -> int:
     feed = sorted(
         ((name, row) for name, rows in inputs.items() for row in rows),
         key=lambda item: (item[1].c_s, item[0], item[1].sort_key))
-    syncs = _sync_sequence(feed)
     every = args.guarantee_every
-    last_threshold: dict[str, Time] = {}
+    marks = _guarantee_marks(feed, sorted(inputs), every) if every else {}
     for i, (name, row) in enumerate(feed):
-        if every and i and i % every == 0:
-            for stream in sorted(inputs):
-                remaining = [s for (n, _), s in zip(feed[i:], syncs[i:])
-                             if n == stream and s != INF]
-                threshold = min(remaining) - 1 if remaining else INF
-                if threshold == INF or threshold < 0:
-                    continue
-                if threshold > last_threshold.get(stream, -1):
-                    pipeline.guarantee(stream, threshold)
-                    last_threshold[stream] = threshold
+        for stream, threshold in marks.get(i, ()):
+            pipeline.guarantee(stream, threshold)
         pipeline.feed(name, row)
     pipeline.flush()
 

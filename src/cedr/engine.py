@@ -38,6 +38,7 @@ from .patterns import (
     UnlessOp,
     make_accept,
     make_blocks,
+    make_partition,
 )
 from .temporal import (
     INF,
@@ -50,6 +51,7 @@ from .temporal import (
     Time,
     TritemporalEvent,
     UnitemporalEvent,
+    _reduce_wins,
     is_sync_point,
 )
 
@@ -170,6 +172,34 @@ def _retire_pattern(w: Time, keep_ports: tuple[int, ...] = ()
     return retire
 
 
+def _partition_ports(ports: tuple, partition) -> list[tuple]:
+    """Split pattern inputs into one input per key of ``partition``.
+
+    Only the two partitioned ports are split; an event keyed ``EVERY``
+    joins every bucket.  Every pair the partition's predicate can accept
+    shares at least one bucket (see :func:`patterns.make_partition`).
+    """
+    (i, key_i), (j, key_j) = partition
+    buckets: dict = {}
+    every = ([], [])
+    for side, port, key in ((0, i, key_i), (1, j, key_j)):
+        for e in ports[port]:
+            b = key(e)
+            if b is patterns.EVERY:
+                every[side].append(e)
+            elif b is not patterns.NOWHERE:
+                buckets.setdefault(b, ([], []))[side].append(e)
+    parts = []
+    for left, right in list(buckets.values()) or [([], [])]:
+        left += every[0]
+        right += every[1]
+        if left and right:
+            part = list(ports)
+            part[i], part[j] = left, right
+            parts.append(tuple(part))
+    return parts
+
+
 def build_module(kind: str, **params) -> OpModule:
     """Construct an operational module for one algebra or pattern operator."""
 
@@ -230,8 +260,15 @@ def build_module(kind: str, **params) -> OpModule:
     accept = params.get("accept")
     blocks = params.get("blocks")
     if kind == "sequence":
-        return pattern(lambda ports, store: patterns.sequence(ports, w, accept=accept),
-                       k, w)
+        partition = params.get("partition")
+        if partition is None:
+            return pattern(lambda ports, store: patterns.sequence(ports, w, accept=accept),
+                           k, w)
+        return pattern(
+            lambda ports, store: frozenset().union(
+                *(patterns.sequence(part, w, accept=accept)
+                  for part in _partition_ports(ports, partition))),
+            k, w)
     if kind == "atleast":
         n = params["n"]
         return pattern(lambda ports, store: patterns.atleast(n, ports, w, accept=accept),
@@ -277,11 +314,19 @@ def build_module(kind: str, **params) -> OpModule:
 # --- the operator instance ---------------------------------------------------
 
 class _Port:
-    __slots__ = ("threshold", "reduced", "seen")
+    """One input's frontier and retained state.
+
+    ``reduced`` holds the winning row of each lineage; ``events`` holds the
+    decoded event of each of those rows that is live (``o_s < o_e``), so a
+    reconcile never decodes a retained row again.
+    """
+
+    __slots__ = ("threshold", "reduced", "events", "seen")
 
     def __init__(self):
         self.threshold: Time = NEG
         self.reduced: dict[str, TritemporalEvent] = {}
+        self.events: dict[str, object] = {}
         self.seen: set[str] = set()
 
 
@@ -295,13 +340,14 @@ class _Tracked:
 
 
 class _Buffered:
-    __slots__ = ("sync", "seq", "port", "row", "seen_at_arrival")
+    __slots__ = ("sync", "seq", "port", "row", "event", "seen_at_arrival")
 
-    def __init__(self, sync, seq, port, row, seen_at_arrival):
+    def __init__(self, sync, seq, port, row, event, seen_at_arrival):
         self.sync = sync
         self.seq = seq
         self.port = port
         self.row = row
+        self.event = event
         self.seen_at_arrival = seen_at_arrival
 
 
@@ -346,8 +392,9 @@ class OperatorInstance:
         sync = row.o_s if row.k not in p.seen else row.o_e
         p.seen.add(row.k)
         self._in_log.append(AnnotatedRow(sync, row))
+        event = None
         if self.module.pattern_mode:
-            self._store[row.id] = pattern_event_from_row(row)
+            event = self._store[row.id] = pattern_event_from_row(row)
         horizon = self._horizon()
         if sync < horizon:
             self.dropped_rows += 1
@@ -355,7 +402,7 @@ class OperatorInstance:
         if sync > self._max_seen:
             self._max_seen = sync
         self._seq += 1
-        self._buffer.append(_Buffered(sync, self._seq, port, row, self._max_seen))
+        self._buffer.append(_Buffered(sync, self._seq, port, row, event, self._max_seen))
         out = self._drain()
         self._sample_state()
         return out
@@ -471,6 +518,7 @@ class OperatorInstance:
                      if retire(row, horizon, port_i)]
             for k in stale:
                 del p.reduced[k]
+                p.events.pop(k, None)
                 changed = True
         if changed:
             # Freeze silently: outputs that are no longer derivable from the
@@ -499,16 +547,23 @@ class OperatorInstance:
 
     def _apply(self, b: _Buffered) -> None:
         p = self._ports[b.port]
-        cur = p.reduced.get(b.row.k)
-        if cur is None or _reduce_wins(b.row, cur):
-            p.reduced[b.row.k] = b.row
+        row = b.row
+        cur = p.reduced.get(row.k)
+        if cur is not None and not _reduce_wins(row, cur):
+            return
+        p.reduced[row.k] = row
+        if row.o_s < row.o_e:
+            # Merged rows are decoded here, not on ingest: a removal row
+            # (o_s == o_e) is no valid unitemporal event, and a row that
+            # loses the reduce is never read.
+            p.events[row.k] = (b.event if self.module.pattern_mode
+                               else merged_event_from_row(row))
+        else:
+            p.events.pop(row.k, None)
 
     def _ideal(self) -> dict[tuple, object]:
-        ports = []
-        frm = pattern_event_from_row if self.module.pattern_mode else merged_event_from_row
-        for p in self._ports:
-            ports.append(tuple(frm(r) for r in p.reduced.values() if r.o_s < r.o_e))
-        outputs = self.module.evaluate(tuple(ports), self._store)
+        ports = tuple(tuple(p.events.values()) for p in self._ports)
+        outputs = self.module.evaluate(ports, self._store)
         ideal: dict[tuple, object] = {}
         for e in outputs:
             ideal[self._stable_key(e)] = e
@@ -592,42 +647,34 @@ class OperatorInstance:
                     k = self._fresh_k(key)
                     row = self._insert_row(k, e)
                     self._tracked[key] = _Tracked(k, e, self._out_event_oe(e))
-                    self._log_out(row.o_s, row)
+                    self._log_out(row.o_s, row, e)
                 elif op == "shrink":
                     tracked = self._tracked[key]
                     row = self._shrink_row(tracked, self._out_event_oe(e))
                     tracked.o_e = self._out_event_oe(e)
                     tracked.event = e
                     self.retraction_rows += 1
-                    self._log_out(row.o_e, row)
+                    self._log_out(row.o_e, row, e)
                 else:  # kill
                     tracked = self._tracked.pop(key)
                     row = self._shrink_row(tracked, tracked.event.o_s
                                            if self.module.pattern_mode
                                            else tracked.event.v_s)
                     self.retraction_rows += 1
-                    self._log_out(row.o_e, row)
+                    self._log_out(row.o_e, row, tracked.event)
                 emitted.append(row)
         return emitted
 
-    def _log_out(self, sync: Time, row: TritemporalEvent) -> None:
+    def _log_out(self, sync: Time, row: TritemporalEvent, e) -> None:
         self.output_rows += 1
         self._out_log.append(AnnotatedRow(sync, row))
         if self.module.pattern_mode:
-            self._store.setdefault(row.id, pattern_event_from_row(row))
+            self._store.setdefault(row.id, e)
 
     def _sample_state(self) -> None:
         held = sum(len(p.reduced) for p in self._ports) + len(self._buffer)
         if held > self.max_state_rows:
             self.max_state_rows = held
-
-
-def _reduce_wins(row: TritemporalEvent, cur: TritemporalEvent) -> bool:
-    if row.o_e != cur.o_e:
-        return row.o_e < cur.o_e
-    if row.c_s != cur.c_s:
-        return row.c_s > cur.c_s
-    return row.sort_key < cur.sort_key
 
 
 def sync_points_of(a: AnnotatedHistoryTable) -> list[SyncPointPair]:
@@ -781,7 +828,8 @@ def _module_for_plan(plan, store: dict) -> OpModule:
         return build_module("filter", accept=accept)
     blocks = make_blocks(plan, store) if isinstance(plan, (UnlessOp, NotOp, CancelWhenOp)) else None
     if isinstance(plan, SequenceOp):
-        return build_module("sequence", k=len(plan.children), w=plan.scope, accept=accept)
+        return build_module("sequence", k=len(plan.children), w=plan.scope, accept=accept,
+                            partition=make_partition(plan, store))
     if isinstance(plan, patterns.AtLeastOp):
         return build_module("atleast", n=plan.n, k=len(plan.children), w=plan.scope,
                             accept=accept)

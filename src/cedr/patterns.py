@@ -631,6 +631,54 @@ def make_accept(node, store: EventStore) -> AcceptHook | None:
     return hook
 
 
+# What a partition key function returns besides attribute values: the
+# event belongs in every bucket, or in none.
+EVERY = object()
+NOWHERE = object()
+# The bucket of right-hand events lacking the attribute; only left-hand
+# events in every bucket can satisfy the predicate with them.
+_ABSENT = object()
+
+PartitionKey = Callable[[PatternEvent], object]
+
+
+def make_partition(node, store: EventStore
+                   ) -> tuple[tuple[int, PartitionKey], tuple[int, PartitionKey]] | None:
+    """Hash-partition keys from a SEQUENCE's first cross-child ``=`` predicate.
+
+    Returns ``((i, key_i), (j, key_j))``.  Two contributors from children
+    ``i`` and ``j`` can satisfy the predicate only if their keys are equal
+    or one of them is :data:`EVERY`; an event keyed :data:`NOWHERE`
+    satisfies it with no partner.  The keys follow :meth:`Predicate.test`:
+    an unresolved variable makes the predicate vacuously true, and a
+    missing attribute makes it false unless the left-hand variable is
+    unresolved.  The partition is complete, not exact, so the accept hook
+    must still test every candidate.
+    """
+    if not isinstance(node, SequenceOp):
+        return None
+    spots = _ctx_vars(node)
+    for p in node.preds:
+        if p.op != "=" or not isinstance(p.rhs, AttrRef):
+            continue
+        lhs, rhs = spots.get(p.lhs.var), spots.get(p.rhs.var)
+        if lhs is None or rhs is None or lhs[0] == rhs[0]:
+            continue
+        return ((lhs[0], _partition_key(lhs[1], p.lhs.attr, NOWHERE, store)),
+                (rhs[0], _partition_key(rhs[1], p.rhs.attr, _ABSENT, store)))
+    return None
+
+
+def _partition_key(path: Path, attr: str, absent: object,
+                   store: EventStore) -> PartitionKey:
+    def key(e: PatternEvent) -> object:
+        ev = _descend(e, path, store)
+        if ev is None:
+            return EVERY
+        return ev.payload.get(attr, absent)
+    return key
+
+
 def make_blocks(node, store: EventStore) -> BlockHook | None:
     if not getattr(node, "neg_preds", ()):
         return None

@@ -44,7 +44,12 @@ def gen_unitemporal(rng: random.Random, max_events: int, horizon: int = 64):
     return events
 
 
-def gen_pattern(rng: random.Random, prefix: str, max_events: int, horizon: int = 64):
+def machine_payload(rng: random.Random) -> Payload:
+    return Payload({"Machine_Id": rng.choice(MACHINES)})
+
+
+def gen_pattern(rng: random.Random, prefix: str, max_events: int, horizon: int = 64,
+                payload_of=machine_payload):
     events = []
     for i in range(rng.randint(1, max_events)):
         v_s = rng.randint(0, horizon - 2)
@@ -53,7 +58,7 @@ def gen_pattern(rng: random.Random, prefix: str, max_events: int, horizon: int =
         # Some events carry an earlier root time, as composites would,
         # so cancellation windows are non-empty.
         rt = max(0, v_s - rng.randint(1, 10)) if rng.random() < 0.4 else v_s
-        payload = Payload({"Machine_Id": rng.choice(MACHINES)})
+        payload = payload_of(rng)
         events.append(PatternEvent(f"{prefix}{i}", v_s, v_e, v_s, o_e,
                                    rt=rt, payload=payload))
     return events

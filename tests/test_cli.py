@@ -1,9 +1,11 @@
 import json
+import random
 
 import pytest
 
 from cedr.cli import main
-from cedr.engine import pattern_event_to_row
+from cedr.disorder import disorder_stream
+from cedr.engine import Pipeline, pattern_event_to_row
 from cedr.jsonio import dumps_events, loads_events
 from cedr.patterns import PatternEvent
 from cedr.temporal import INF, HistoryTable, Payload, logically_equivalent
@@ -119,6 +121,61 @@ class TestRun:
             f"SHUTDOWN={tmp_path / 'shutdown.jsonl'}\n")
         assert main(["run", "--query", str(query_file), "--config", str(cfg)]) == 0
         assert len(loads_events(out.read_text())) == 1
+
+
+class TestGuaranteeEvery:
+    @staticmethod
+    def _rescan(feed, streams, every):
+        """The guarantees ``run`` declared by rescanning the rest of the feed
+        for every stream at every mark; the suffix-minimum pass must agree."""
+        seen, syncs = {}, []
+        for name, r in feed:
+            marks = seen.setdefault(name, set())
+            syncs.append(r.o_s if r.k not in marks else r.o_e)
+            marks.add(r.k)
+        declared, last = [], {}
+        for i in range(len(feed)):
+            if every and i and i % every == 0:
+                for stream in streams:
+                    remaining = [s for (n, _), s in zip(feed[i:], syncs[i:])
+                                 if n == stream and s != INF]
+                    threshold = min(remaining) - 1 if remaining else INF
+                    if threshold == INF or threshold < 0:
+                        continue
+                    if threshold > last.get(stream, -1):
+                        declared.append((i, stream, threshold))
+                        last[stream] = threshold
+        return declared
+
+    @pytest.mark.parametrize("every", [1, 3, 7, 20])
+    def test_declares_what_a_rescan_declares(self, tmp_path, query_file, monkeypatch, every):
+        rng = random.Random(f"guarantee-every-{every}")
+        argv = ["run", "--query", str(query_file), "--level", "middle",
+                "--guarantee-every", str(every), "--output", str(tmp_path / "out.jsonl")]
+        for n, name in enumerate(("INSTALL", "SHUTDOWN", "RESTART")):
+            events = sorted((machine_event(f"{name}{i}", rng.randint(0, 3000),
+                                           rng.choice(("m1", "m2", "m3")))
+                             for i in range(40)), key=lambda e: e.v_s)
+            clean = [pattern_event_to_row(e, f"{name}K{i}", i) for i, e in enumerate(events)]
+            path = tmp_path / f"{name}.jsonl"
+            path.write_text(dumps_events(disorder_stream(clean, 6, 0.3, seed=n)))
+            argv += ["--input", f"{name}={path}"]
+        fed, declared = [], []
+        feed, guarantee = Pipeline.feed, Pipeline.guarantee
+
+        def recording_feed(self, stream, r):
+            fed.append((stream, r))
+            return feed(self, stream, r)
+
+        def recording_guarantee(self, stream, threshold):
+            declared.append((len(fed), stream, threshold))
+            return guarantee(self, stream, threshold)
+
+        monkeypatch.setattr(Pipeline, "feed", recording_feed)
+        monkeypatch.setattr(Pipeline, "guarantee", recording_guarantee)
+        assert main(argv) == 0
+        assert len(declared) > 3
+        assert declared == self._rescan(fed, ["INSTALL", "RESTART", "SHUTDOWN"], every)
 
 
 class TestDisorder:

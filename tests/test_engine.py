@@ -613,6 +613,182 @@ class TestPipelineCrossLevel:
                     results.append(got)
                 assert results[0] == results[1] == results[2]
 
+    PARTITION_CASES = {
+        "missing attribute": (
+            "EVENT q WHEN UNLESS(SEQUENCE(A x, B AS y, 12), C AS z, 4) "
+            "WHERE {x.Machine_Id = y.Machine_Id} AND {x.Machine_Id = z.Machine_Id}",
+            lambda rng, stream: (Payload({"Machine_Id": rng.choice(("m1", "m2"))})
+                                 if rng.random() < 0.6
+                                 else Payload({"Slot": rng.randint(0, 1)}))),
+        "keys equal across types": (
+            "EVENT q WHEN SEQUENCE(A x, B y, 12) WHERE {x.Machine_Id = y.Machine_Id}",
+            lambda rng, stream: Payload({"Machine_Id": rng.choice((1, 1.0, True, "1", 2))})),
+        "variable under a nested composite": (
+            "EVENT q WHEN SEQUENCE(SEQUENCE(A x, B y, 10), C z, 20) "
+            "WHERE {x.Machine_Id = z.Machine_Id}",
+            # B carries another attribute: concatenating three Machine_Id
+            # payloads is rejected by concat_payloads.
+            lambda rng, stream: Payload({"Slot" if stream == "B" else "Machine_Id":
+                                         rng.choice(("m1", "m2", "m3"))})),
+        "equality with an inequality": (
+            "EVENT q WHEN SEQUENCE(A x, B y, 12) "
+            "WHERE {x.Machine_Id = y.Machine_Id} AND {x.Slot != y.Slot}",
+            lambda rng, stream: Payload({"Machine_Id": rng.choice(("m1", "m2")),
+                                         "Slot": rng.randint(0, 2)})),
+    }
+
+    def _levels_match_denotation(self, src, ideal, rng, skew, retract_prob):
+        from cedr.disorder import rows_from_pattern
+        from cedr.patterns import evaluate_plan
+        from cedr.query import compile_query, parse
+
+        compiled = compile_query(parse(src).ast)
+        assert compiled.ok
+        rows = {name: encode_stream(rows_from_pattern(events, key_prefix=f"{name}k"),
+                                    rng, skew=skew, retract_prob=retract_prob)
+                for name, events in ideal.items()}
+        composites = evaluate_plan(compiled.plan, ideal)
+        want = content_set(rows_from_pattern(composites, key_prefix="o"))
+        for level in (STRONG, MIDDLE, WEAK):
+            pipe = self._drive(compiled.plan, rows, level)
+            assert content_set(pipe.outputs) == want, (src, level)
+        return rows, composites
+
+    @pytest.mark.parametrize("case", sorted(PARTITION_CASES))
+    def test_partitioned_sequence_agrees_across_levels(self, case):
+        from cedr.query import leaf_streams, parse
+
+        src, payload_of = self.PARTITION_CASES[case]
+        streams = leaf_streams(parse(src).ast)
+        matched = 0
+        for trial in range(6):
+            rng = random.Random(f"partition-{case}-{trial}")
+            ideal = {name: gen_pattern(rng, f"{name}_", 8,
+                                       payload_of=lambda r, n=name: payload_of(r, n))
+                     for name in streams}
+            _, composites = self._levels_match_denotation(
+                src, ideal, rng, skew=rng.randint(0, 5),
+                retract_prob=rng.choice([0.0, 0.5]))
+            matched += len(composites)
+        assert matched
+
+    def test_keys_of_different_types_match(self):
+        # 1, 1.0 and True are equal under the predicate and must meet in one
+        # bucket; "1" is not.
+        src, _ = self.PARTITION_CASES["keys equal across types"]
+        ideal = {"A": [PatternEvent(f"a{i}", 1, 30, 1, INF, rt=1,
+                                    payload=Payload({"Machine_Id": v}))
+                       for i, v in enumerate((1, "1"))],
+                 "B": [PatternEvent(f"b{i}", 5, 30, 5, INF, rt=5,
+                                    payload=Payload({"Machine_Id": v}))
+                       for i, v in enumerate((1.0, True, "1"))]}
+        _, composites = self._levels_match_denotation(
+            src, ideal, random.Random("types"), skew=2, retract_prob=0.5)
+        assert sorted(e.cbt for e in composites) == [
+            ("a0", "b0"), ("a0", "b1"), ("a1", "b2")]
+
+    def test_partitioned_sequence_on_a_long_disordered_feed(self):
+        src = self.QUERY_PLAN_SOURCES[0]
+        rng = random.Random("long-feed")
+        ideal = {name: gen_pattern(rng, f"{name}_", 220, horizon=3000)
+                 for name in ("A", "B", "C")}
+        rows, composites = self._levels_match_denotation(
+            src, ideal, rng, skew=8, retract_prob=0.3)
+        assert sum(len(r) for r in rows.values()) >= 600
+        assert composites
+
+
+class TestPartitionedSequence:
+    """The bucketed SEQUENCE module against the unpartitioned operator."""
+
+    def _events(self, rng, store):
+        # Port 0 holds composites whose x contributor may lack the attribute
+        # or be missing from the store, and primitives, on which the path
+        # to x does not resolve; port 1 holds primitives that may lack it.
+        values = (1, 1.0, True, "1", 2)
+        firsts = []
+        for i in range(rng.randint(0, 8)):
+            v_s = rng.randint(0, 30)
+            if rng.random() < 0.3:
+                firsts.append(PatternEvent(f"p{i}", v_s, v_s + 40, v_s, INF, rt=v_s))
+                continue
+            x = PatternEvent(f"x{i}", v_s, v_s + 40, v_s, INF, rt=v_s,
+                             payload=Payload({"M": rng.choice(values)}
+                                             if rng.random() < 0.8 else {}))
+            if rng.random() < 0.9:
+                store[x.id] = x
+            firsts.append(PatternEvent(f"c{i}", v_s, v_s + 40, v_s, INF, rt=v_s,
+                                       cbt=(x.id, f"y{i}")))
+        seconds = []
+        for i in range(rng.randint(0, 8)):
+            v_s = rng.randint(0, 40)
+            seconds.append(PatternEvent(f"z{i}", v_s, v_s + 40, v_s, INF, rt=v_s,
+                                        payload=Payload({"M": rng.choice(values)}
+                                                        if rng.random() < 0.8 else {})))
+        return (tuple(firsts), tuple(seconds))
+
+    @pytest.mark.parametrize("lhs, rhs", [("x", "z"), ("z", "x")])
+    def test_matches_unpartitioned_sequence(self, lhs, rhs):
+        from cedr.patterns import make_accept, make_partition, sequence
+
+        inner = SequenceOp((Leaf("A", "x"), Leaf("B", "y")), 10)
+        plan = SequenceOp((inner, Leaf("C", "z")), 20,
+                          (Predicate(AttrRef(lhs, "M"), "=", AttrRef(rhs, "M")),))
+        for trial in range(300):
+            rng = random.Random(f"partitioned-{lhs}-{trial}")
+            store = {}
+            ports = self._events(rng, store)
+            accept = make_accept(plan, store)
+            partition = make_partition(plan, store)
+            assert partition is not None
+            module = build_module("sequence", k=2, w=20, accept=accept,
+                                  partition=partition)
+            assert module.evaluate(ports, store) == sequence(ports, 20, accept=accept)
+
+    def test_no_partition_without_a_cross_child_equality(self):
+        from cedr.patterns import make_partition
+
+        leaves = (Leaf("A", "x"), Leaf("B", "y"))
+        for preds in [(), (Predicate(AttrRef("x", "M"), "!=", AttrRef("y", "M")),),
+                      (Predicate(AttrRef("x", "M"), "=", "m1"),),
+                      (Predicate(AttrRef("x", "M"), "=", AttrRef("x", "N")),)]:
+            assert make_partition(SequenceOp(leaves, 5, preds), {}) is None
+
+
+class TestDecodeOnce:
+    def test_decodes_do_not_grow_with_retained_state(self, monkeypatch):
+        # Each retained row is decoded when it arrives, not again on every
+        # reconcile: decodes stay within one per ingest plus one per
+        # emitted row, however much state the operators hold.
+        import cedr.engine as engine
+        from cedr.disorder import rows_from_pattern
+        from cedr.query import compile_query, parse
+
+        plan = compile_query(parse(TestPipelineCrossLevel.QUERY_PLAN_SOURCES[0]).ast).plan
+        rng = random.Random("decode-once")
+        rows = {name: encode_stream(
+                    rows_from_pattern(gen_pattern(rng, f"{name}_", 80, horizon=800),
+                                      key_prefix=f"{name}k"),
+                    rng, skew=8, retract_prob=0.1)
+                for name in ("A", "B", "C")}
+        counts = {"decodes": 0, "ingests": 0}
+        decode, ingest = engine.pattern_event_from_row, OperatorInstance.ingest
+
+        def counted_decode(row):
+            counts["decodes"] += 1
+            return decode(row)
+
+        def counted_ingest(self, row, port=0):
+            counts["ingests"] += 1
+            return ingest(self, row, port)
+
+        monkeypatch.setattr(engine, "pattern_event_from_row", counted_decode)
+        monkeypatch.setattr(OperatorInstance, "ingest", counted_ingest)
+        pipe = TestPipelineCrossLevel()._drive(plan, rows, MIDDLE)
+        emitted = sum(m["output_rows"] for m in pipe.metrics()["nodes"].values())
+        assert pipe.metrics()["total"]["max_state_rows"] > 100
+        assert counts["decodes"] <= counts["ingests"] + emitted
+
 
 class TestSlicedRetractions:
     def test_occurrence_slice_keeps_removals_consistent(self):
