@@ -21,6 +21,7 @@ from .temporal import (
     TemporalError,
     Time,
     UnitemporalEvent,
+    _scalar_key,
     coalesce_star,
     concat_payloads,
 )
@@ -177,13 +178,16 @@ def groupby_aggregate(s: Events, key: Sequence[str] = (), agg: str = "count",
     if any(e.v_e == INF for e in events):
         segments.append((points[-1], INF))
 
+    # Groups compare values as Payload does: True, 1 and 1.0 are distinct.
+    group_of = {id(e): tuple(_scalar_key(e.payload[a]) for a in key) for e in events}
     rows = []
     for seg_s, seg_e in segments:
         alive = [e for e in events if e.v_s <= seg_s and e.v_e >= seg_e]
         groups: dict[tuple, list[UnitemporalEvent]] = {}
         for e in alive:
-            groups.setdefault(tuple(e.payload[a] for a in key), []).append(e)
-        for gkey, members in groups.items():
+            groups.setdefault(group_of[id(e)], []).append(e)
+        for members in groups.values():
+            gkey = tuple(members[0].payload[a] for a in key)
             if agg == "count":
                 value: Scalar = len(members)
             else:

@@ -28,6 +28,7 @@ from typing import Callable, Iterable, Mapping
 
 from . import algebra, patterns
 from .patterns import (
+    EVERY,
     CancelWhenOp,
     Leaf,
     NotOp,
@@ -144,6 +145,9 @@ class OpModule:
     operators whose outputs merge across input events, which makes their
     output guarantees data-dependent; ``retire`` decides when a retained
     input row can no longer influence any state at or past the horizon.
+    ``partition`` holds one key function per port (or None for a port whose
+    events join every bucket), as :func:`patterns.make_partition` builds
+    them; a module without it evaluates all its state as one bucket.
     """
 
     name: str
@@ -153,6 +157,7 @@ class OpModule:
     lag: Time = 0
     coalescing: bool = False
     retire: Callable[[TritemporalEvent, Time, int], bool] | None = None
+    partition: tuple | None = None
 
 
 def _retire_dead(row: TritemporalEvent, horizon: Time, port: int) -> bool:
@@ -170,34 +175,6 @@ def _retire_pattern(w: Time, keep_ports: tuple[int, ...] = ()
             return False
         return row.o_e != INF and max(row.o_e, row.v_s + w) < horizon - w
     return retire
-
-
-def _partition_ports(ports: tuple, partition) -> list[tuple]:
-    """Split pattern inputs into one input per key of ``partition``.
-
-    Only the two partitioned ports are split; an event keyed ``EVERY``
-    joins every bucket.  Every pair the partition's predicate can accept
-    shares at least one bucket (see :func:`patterns.make_partition`).
-    """
-    (i, key_i), (j, key_j) = partition
-    buckets: dict = {}
-    every = ([], [])
-    for side, port, key in ((0, i, key_i), (1, j, key_j)):
-        for e in ports[port]:
-            b = key(e)
-            if b is patterns.EVERY:
-                every[side].append(e)
-            elif b is not patterns.NOWHERE:
-                buckets.setdefault(b, ([], []))[side].append(e)
-    parts = []
-    for left, right in list(buckets.values()) or [([], [])]:
-        left += every[0]
-        right += every[1]
-        if left and right:
-            part = list(ports)
-            part[i], part[j] = left, right
-            parts.append(tuple(part))
-    return parts
 
 
 def build_module(kind: str, **params) -> OpModule:
@@ -251,24 +228,17 @@ def build_module(kind: str, **params) -> OpModule:
         return merged(lambda ports, store: algebra.deletes(ports[0]),
                       retire=_retire_never)
 
-    def pattern(fn, arity, w, lag=None):
+    def pattern(fn, arity, w, lag=None, partition=None):
         return OpModule(kind, arity, True, fn, w if lag is None else lag,
-                        False, _retire_pattern(w))
+                        False, _retire_pattern(w), partition)
 
     w = params.get("w", 1)
     k = params.get("k", 2)
     accept = params.get("accept")
     blocks = params.get("blocks")
     if kind == "sequence":
-        partition = params.get("partition")
-        if partition is None:
-            return pattern(lambda ports, store: patterns.sequence(ports, w, accept=accept),
-                           k, w)
-        return pattern(
-            lambda ports, store: frozenset().union(
-                *(patterns.sequence(part, w, accept=accept)
-                  for part in _partition_ports(ports, partition))),
-            k, w)
+        return pattern(lambda ports, store: patterns.sequence(ports, w, accept=accept),
+                       k, w, partition=params.get("partition"))
     if kind == "atleast":
         n = params["n"]
         return pattern(lambda ports, store: patterns.atleast(n, ports, w, accept=accept),
@@ -287,7 +257,7 @@ def build_module(kind: str, **params) -> OpModule:
         return pattern(
             lambda ports, store: patterns.unless(ports[0], ports[1], w,
                                                  accept=accept, blocks=blocks),
-            2, w)
+            2, w, partition=params.get("partition"))
     if kind == "not":
         return pattern(
             lambda ports, store: patterns.not_seq(ports[-1], ports[:-1], w,
@@ -316,17 +286,20 @@ def build_module(kind: str, **params) -> OpModule:
 class _Port:
     """One input's frontier and retained state.
 
-    ``reduced`` holds the winning row of each lineage; ``events`` holds the
-    decoded event of each of those rows that is live (``o_s < o_e``), so a
-    reconcile never decodes a retained row again.
+    ``reduced`` holds the winning row of each lineage.  ``buckets`` indexes
+    the decoded event of each of those rows that is live (``o_s < o_e``)
+    under every partition bucket it joined, and ``joined`` records those
+    buckets per lineage.  So a reconcile never decodes a retained row again,
+    and a change re-evaluates only the buckets it touched.
     """
 
-    __slots__ = ("threshold", "reduced", "events", "seen")
+    __slots__ = ("threshold", "reduced", "buckets", "joined", "seen")
 
     def __init__(self):
         self.threshold: Time = NEG
         self.reduced: dict[str, TritemporalEvent] = {}
-        self.events: dict[str, object] = {}
+        self.buckets: dict[object, dict[str, object]] = {}
+        self.joined: dict[str, tuple] = {}
         self.seen: set[str] = set()
 
 
@@ -367,6 +340,12 @@ class OperatorInstance:
         self.name = name or module.name
         self._store = {} if store is None else store
         self._ports = [_Port() for _ in range(module.arity)]
+        self._keys = module.partition or (None,) * module.arity
+        # Each bucket's last output by stable key, and the buckets a change
+        # has touched since (all of them once an EVERY event changed).
+        self._outputs: dict[object, dict[tuple, object]] = {}
+        self._stale: set = set()
+        self._all_stale = False
         self._buffer: list[_Buffered] = []
         self._tracked: dict[tuple, _Tracked] = {}
         self._incarnations: dict[str, int] = {}
@@ -382,6 +361,8 @@ class OperatorInstance:
         self.output_rows = 0
         self.retraction_rows = 0
         self.dropped_rows = 0
+        self.reconciles = 0
+        self.evaluated_rows = 0
 
     # -- ingestion and guarantees
 
@@ -453,6 +434,8 @@ class OperatorInstance:
             "output_rows": self.output_rows,
             "retraction_rows": self.retraction_rows,
             "dropped_rows": self.dropped_rows,
+            "reconciles": self.reconciles,
+            "evaluated_rows": self.evaluated_rows,
         }
 
     def input_table(self) -> AnnotatedHistoryTable:
@@ -518,7 +501,7 @@ class OperatorInstance:
                      if retire(row, horizon, port_i)]
             for k in stale:
                 del p.reduced[k]
-                p.events.pop(k, None)
+                self._unindex(p, k)
                 changed = True
         if changed:
             # Freeze silently: outputs that are no longer derivable from the
@@ -556,18 +539,83 @@ class OperatorInstance:
             # Merged rows are decoded here, not on ingest: a removal row
             # (o_s == o_e) is no valid unitemporal event, and a row that
             # loses the reduce is never read.
-            p.events[row.k] = (b.event if self.module.pattern_mode
-                               else merged_event_from_row(row))
+            event = b.event if self.module.pattern_mode else merged_event_from_row(row)
+            key = self._keys[b.port]
+            joined = (EVERY,) if key is None else key(event)
+            if p.joined.get(row.k) != joined:
+                self._unindex(p, row.k)
+                p.joined[row.k] = joined
+            # A replaced event keeps its place: operators see their input
+            # in first-arrival order, which keeps it close to sorted.
+            for bucket in joined:
+                p.buckets.setdefault(bucket, {})[row.k] = event
+            self._touch(joined)
         else:
-            p.events.pop(row.k, None)
+            self._unindex(p, row.k)
+
+    def _unindex(self, p: _Port, k: str) -> None:
+        joined = p.joined.pop(k, None)
+        if joined is None:
+            return
+        for bucket in joined:
+            events = p.buckets[bucket]
+            del events[k]
+            if not events:
+                del p.buckets[bucket]
+        self._touch(joined)
+
+    def _touch(self, joined: tuple) -> None:
+        if EVERY in joined:
+            self._all_stale = True
+        else:
+            self._stale.update(joined)
 
     def _ideal(self) -> dict[tuple, object]:
-        ports = tuple(tuple(p.events.values()) for p in self._ports)
-        outputs = self.module.evaluate(ports, self._store)
+        """The operator's output over the live state, keyed by stable key.
+
+        Only stale buckets are evaluated; the others keep their last output.
+        A module without a partition is one bucket, which every change
+        reaches.  It is evaluated on every call, also when nothing changed
+        since the last one (a frontier move at infinite blocking): reusing
+        its result there is a separate cache, with its own memory cost.
+        """
+        if self._all_stale or self.module.partition is None:
+            stale = set(self._outputs).union(*(p.buckets for p in self._ports))
+        else:
+            stale = self._stale
+        self._stale, self._all_stale = set(), False
+        for bucket in stale:
+            ports = self._bucket_ports(bucket)
+            outputs = {}
+            if ports is not None:
+                self.evaluated_rows += sum(map(len, ports))
+                outputs = {self._stable_key(e): e
+                           for e in self.module.evaluate(ports, self._store)}
+            if outputs:
+                self._outputs[bucket] = outputs
+            else:
+                self._outputs.pop(bucket, None)
+        if len(self._outputs) == 1:
+            return next(iter(self._outputs.values()))
         ideal: dict[tuple, object] = {}
-        for e in outputs:
-            ideal[self._stable_key(e)] = e
+        for outputs in self._outputs.values():
+            ideal.update(outputs)
         return ideal
+
+    def _bucket_ports(self, bucket) -> tuple | None:
+        """The operator's input for one bucket; None if it yields nothing."""
+        ports = []
+        own = False
+        for p in self._ports:
+            events = p.buckets.get(bucket)
+            shared = p.buckets.get(EVERY) if bucket is not EVERY else None
+            own = own or events is not None
+            ports.append((tuple(events.values()) if events else ())
+                         + (tuple(shared.values()) if shared else ()))
+        # A keyed operator yields nothing without a first-port event.
+        if not own or (self.module.partition is not None and not ports[0]):
+            return None
+        return tuple(ports)
 
     def _stable_key(self, e) -> tuple:
         if self.module.pattern_mode:
@@ -605,6 +653,7 @@ class OperatorInstance:
         return c_s
 
     def _reconcile(self) -> list[TritemporalEvent]:
+        self.reconciles += 1
         ideal = self._ideal()
         bound = None
         if self.level.blocking == INF:
@@ -841,7 +890,8 @@ def _module_for_plan(plan, store: dict) -> OpModule:
     if isinstance(plan, patterns.AnyOp):
         return build_module("any", k=len(plan.children), accept=accept)
     if isinstance(plan, UnlessOp):
-        return build_module("unless", w=plan.scope, accept=accept, blocks=blocks)
+        return build_module("unless", w=plan.scope, accept=accept, blocks=blocks,
+                            partition=make_partition(plan, store))
     if isinstance(plan, NotOp):
         return build_module("not", k=len(plan.children), w=plan.scope,
                             accept=accept, blocks=blocks)

@@ -631,51 +631,73 @@ def make_accept(node, store: EventStore) -> AcceptHook | None:
     return hook
 
 
-# What a partition key function returns besides attribute values: the
-# event belongs in every bucket, or in none.
+# A partition key maps an event to the tuple of buckets it joins; a key
+# of None puts every event of its port in every bucket.  The engine
+# evaluates the operator once per bucket, on the events that joined it plus
+# those of every port that joined EVERY, and unions the results.
 EVERY = object()
-NOWHERE = object()
-# The bucket of right-hand events lacking the attribute; only left-hand
-# events in every bucket can satisfy the predicate with them.
+# Events lacking the key attribute: right-hand SEQUENCE events, which only
+# left-hand events in every bucket can match, and UNLESS children, which
+# only blockers in every bucket can block.
 _ABSENT = object()
+# UNLESS children whose variable does not resolve: any blocker may block
+# them, so every blocker joins this bucket too.
+_UNRESOLVED = object()
 
-PartitionKey = Callable[[PatternEvent], object]
+PartitionKey = Callable[[PatternEvent], tuple]
 
 
-def make_partition(node, store: EventStore
-                   ) -> tuple[tuple[int, PartitionKey], tuple[int, PartitionKey]] | None:
-    """Hash-partition keys from a SEQUENCE's first cross-child ``=`` predicate.
+def make_partition(node, store: EventStore) -> tuple[PartitionKey | None, ...] | None:
+    """Per-port hash-partition keys for a SEQUENCE or an UNLESS, or None.
 
-    Returns ``((i, key_i), (j, key_j))``.  Two contributors from children
-    ``i`` and ``j`` can satisfy the predicate only if their keys are equal
-    or one of them is :data:`EVERY`; an event keyed :data:`NOWHERE`
-    satisfies it with no partner.  The keys follow :meth:`Predicate.test`:
-    an unresolved variable makes the predicate vacuously true, and a
-    missing attribute makes it false unless the left-hand variable is
-    unresolved.  The partition is complete, not exact, so the accept hook
-    must still test every candidate.
+    A SEQUENCE is keyed on its first ``=`` predicate between variables of
+    two different children, an UNLESS on its first ``=`` negation predicate
+    between a variable of the child and one of the blocker.  The keys follow
+    :meth:`Predicate.test`: an unresolved variable makes the predicate
+    vacuously true, and a missing attribute makes it false unless the
+    left-hand variable is unresolved.  So every SEQUENCE match shares a
+    bucket, and every UNLESS child sits in exactly one bucket with each
+    blocker that can block it.  Every output has an event of the first
+    port, so a bucket without one yields nothing.  The partition is
+    complete, not exact: the hooks still test every candidate.
     """
-    if not isinstance(node, SequenceOp):
-        return None
     spots = _ctx_vars(node)
-    for p in node.preds:
-        if p.op != "=" or not isinstance(p.rhs, AttrRef):
-            continue
-        lhs, rhs = spots.get(p.lhs.var), spots.get(p.rhs.var)
-        if lhs is None or rhs is None or lhs[0] == rhs[0]:
-            continue
-        return ((lhs[0], _partition_key(lhs[1], p.lhs.attr, NOWHERE, store)),
-                (rhs[0], _partition_key(rhs[1], p.rhs.attr, _ABSENT, store)))
+    if isinstance(node, SequenceOp):
+        for p in node.preds:
+            if p.op != "=" or not isinstance(p.rhs, AttrRef):
+                continue
+            lhs, rhs = spots.get(p.lhs.var), spots.get(p.rhs.var)
+            if lhs is None or rhs is None or lhs[0] == rhs[0]:
+                continue
+            keys: list[PartitionKey | None] = [None] * len(node.children)
+            keys[lhs[0]] = _partition_key(lhs[1], p.lhs.attr, store, (EVERY,), ())
+            keys[rhs[0]] = _partition_key(rhs[1], p.rhs.attr, store, (EVERY,), (_ABSENT,))
+            return tuple(keys)
+    if isinstance(node, UnlessOp):
+        # make_blocks resolves a name bound on both sides to the blocker.
+        neg_spots = _neg_vars(node)
+        for p in node.neg_preds:
+            if p.op != "=" or not isinstance(p.rhs, AttrRef):
+                continue
+            for child, blocker in ((p.lhs, p.rhs), (p.rhs, p.lhs)):
+                if (child.var in spots and child.var not in neg_spots
+                        and blocker.var in neg_spots):
+                    return (_partition_key(spots[child.var][1], child.attr, store,
+                                           (_UNRESOLVED,), (_ABSENT,)),
+                            _partition_key(neg_spots[blocker.var], blocker.attr, store,
+                                           (EVERY,), (_UNRESOLVED,), (_UNRESOLVED,)))
     return None
 
 
-def _partition_key(path: Path, attr: str, absent: object,
-                   store: EventStore) -> PartitionKey:
-    def key(e: PatternEvent) -> object:
+def _partition_key(path: Path, attr: str, store: EventStore, unresolved: tuple,
+                   absent: tuple, also: tuple = ()) -> PartitionKey:
+    def key(e: PatternEvent) -> tuple:
         ev = _descend(e, path, store)
         if ev is None:
-            return EVERY
-        return ev.payload.get(attr, absent)
+            return unresolved
+        if attr not in ev.payload:
+            return absent
+        return (ev.payload[attr], *also)
     return key
 
 

@@ -150,15 +150,21 @@ def concat_payloads(parts: Iterable[Payload]) -> Payload:
     """Concatenate payloads left to right, suffixing colliding names.
 
     The second occurrence of a name becomes ``name#2``, the third ``name#3``
-    and so on, so concatenation is deterministic and loses nothing.
+    and so on, so concatenation is deterministic and loses nothing.  A part
+    may already carry a suffixed name (a nested composite's ``name#2``);
+    then the suffix counts on until the name is free.
     """
-    out: list[tuple[str, Scalar]] = []
+    out: dict[str, Scalar] = {}
     counts: dict[str, int] = {}
     for p in parts:
         for name, value in p.items():
             n = counts.get(name, 0) + 1
+            unique = name if n == 1 else f"{name}#{n}"
+            while unique in out:
+                n += 1
+                unique = f"{name}#{n}"
             counts[name] = n
-            out.append((name if n == 1 else f"{name}#{n}", value))
+            out[unique] = value
     return Payload(out)
 
 

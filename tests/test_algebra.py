@@ -127,6 +127,20 @@ class TestGroupbyAggregate:
         out = groupby_aggregate({ue(1, INF, P1)}, agg="count", out="c")
         assert out == {ue(1, INF, Payload({"c": 1}))}
 
+    def test_equal_numbers_of_different_types_are_separate_groups(self):
+        # Payload tells True, 1 and 1.0 apart, so grouping must too, and
+        # each group's label must not depend on the input order.
+        rows = [ue(3, 5, Payload({"g": v}), id=f"e{i}")
+                for i, v in enumerate((True, 1, 1.0, 1, "1"))]
+        want = {ue(3, 5, Payload({"g": True, "c": 1})),
+                ue(3, 5, Payload({"g": 1, "c": 2})),
+                ue(3, 5, Payload({"g": 1.0, "c": 1})),
+                ue(3, 5, Payload({"g": "1", "c": 1}))}
+        rng = random.Random("groupby-types")
+        for _ in range(20):
+            rng.shuffle(rows)
+            assert groupby_aggregate(rows, key=("g",), agg="count", out="c") == want
+
 
 class TestAlterLifetime:
     def test_inserts_formula(self):

@@ -75,6 +75,15 @@ class TestTimestampsAndPayload:
         merged = concat_payloads([Payload({"m": 1, "a": 2}), Payload({"m": 7})])
         assert dict(merged.items()) == {"m": 1, "a": 2, "m#2": 7}
 
+    def test_concat_skips_suffixes_already_taken(self):
+        # A nested composite already carries m#2; the third m takes m#3.
+        inner = concat_payloads([Payload({"m": 1}), Payload({"m": 2})])
+        merged = concat_payloads([inner, Payload({"m": 3})])
+        assert list(merged.items()) == [("m", 1), ("m#2", 2), ("m#3", 3)]
+        merged = concat_payloads([Payload({"m": 1}), Payload({"m": 2}),
+                                  Payload({"m#2": 3})])
+        assert list(merged.items()) == [("m", 1), ("m#2", 2), ("m#2#2", 3)]
+
     def test_bool_and_int_payload_values_distinct(self):
         assert Payload({"x": True}) != Payload({"x": 1})
 
