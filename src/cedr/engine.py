@@ -29,14 +29,8 @@ from typing import Callable, Iterable, Mapping
 from . import algebra, patterns
 from .patterns import (
     EVERY,
-    CancelWhenOp,
-    Leaf,
-    NotOp,
     PatternEvent,
-    ProjectOp,
-    SequenceOp,
     SliceOp,
-    UnlessOp,
     make_accept,
     make_blocks,
     make_partition,
@@ -45,7 +39,6 @@ from .temporal import (
     INF,
     AnnotatedHistoryTable,
     AnnotatedRow,
-    HistoryTable,
     Payload,
     SyncPointPair,
     TemporalError,
@@ -228,57 +221,17 @@ def build_module(kind: str, **params) -> OpModule:
         return merged(lambda ports, store: algebra.deletes(ports[0]),
                       retire=_retire_never)
 
-    def pattern(fn, arity, w, lag=None, partition=None):
-        return OpModule(kind, arity, True, fn, w if lag is None else lag,
-                        False, _retire_pattern(w), partition)
-
-    w = params.get("w", 1)
-    k = params.get("k", 2)
-    accept = params.get("accept")
-    blocks = params.get("blocks")
-    if kind == "sequence":
-        return pattern(lambda ports, store: patterns.sequence(ports, w, accept=accept),
-                       k, w, partition=params.get("partition"))
-    if kind == "atleast":
-        n = params["n"]
-        return pattern(lambda ports, store: patterns.atleast(n, ports, w, accept=accept),
-                       k, w)
-    if kind == "atmost":
-        n = params["n"]
-        return pattern(lambda ports, store: patterns.atmost(n, ports, w, accept=accept),
-                       k, w)
-    if kind == "all":
-        return pattern(lambda ports, store: patterns.all_of(ports, w, accept=accept),
-                       k, w)
-    if kind == "any":
-        return pattern(lambda ports, store: patterns.any_of(ports, accept=accept),
-                       k, 1)
-    if kind == "unless":
-        return pattern(
-            lambda ports, store: patterns.unless(ports[0], ports[1], w,
-                                                 accept=accept, blocks=blocks),
-            2, w, partition=params.get("partition"))
-    if kind == "not":
-        return pattern(
-            lambda ports, store: patterns.not_seq(ports[-1], ports[:-1], w,
-                                                  accept=accept, blocks=blocks),
-            k + 1, w)
-    if kind == "cancel_when":
-        # Cancellation looks back to each event's root time, which is not
-        # bounded by any scope: cancellers must never be forgotten.
-        module = pattern(
-            lambda ports, store: patterns.cancel_when(ports[0], ports[1],
-                                                      accept=accept, blocks=blocks),
-            2, w, lag=0)
-        return OpModule(module.name, module.arity, True, module.evaluate,
-                        0, False, _retire_pattern(w, keep_ports=(1,)))
-    if kind == "filter":
-        return pattern(
-            lambda ports, store: frozenset(
-                e for e in ports[0]
-                if accept is None or accept(((0, e),))),
-            1, 0, lag=0)
-    raise ValueError(f"unknown operator kind {kind!r}")
+    # Every pattern kind is a plan-node kind; "filter" names a stream leaf.
+    node = patterns.NODE_KINDS_BY_TAG.get("stream" if kind == "filter" else kind)
+    if node is None or node.wrapper:
+        raise ValueError(f"unknown operator kind {kind!r}")
+    p = {"w": 1, "k": 2, **params}
+    run, accept, blocks = node.run, p.get("accept"), p.get("blocks")
+    arity = node.arity(p)
+    return OpModule(kind, arity, True, lambda ports, store: run(p, ports, accept, blocks),
+                    node.lag(p), False,
+                    _retire_pattern(node.retire(p), (arity - 1,) if node.keep_blocker else ()),
+                    p.get("partition"))
 
 
 # --- the operator instance ---------------------------------------------------
@@ -589,8 +542,10 @@ class OperatorInstance:
             outputs = {}
             if ports is not None:
                 self.evaluated_rows += sum(map(len, ports))
-                outputs = {self._stable_key(e): e
-                           for e in self.module.evaluate(ports, self._store)}
+                result = self.module.evaluate(ports, self._store)
+                outputs = {self._stable_key(e): e for e in result}
+                if len(outputs) < len(result):
+                    outputs = self._longest_lived((self._stable_key(e), e) for e in result)
             if outputs:
                 self._outputs[bucket] = outputs
             else:
@@ -600,7 +555,25 @@ class OperatorInstance:
         ideal: dict[tuple, object] = {}
         for outputs in self._outputs.values():
             ideal.update(outputs)
+        if len(ideal) < sum(map(len, self._outputs.values())):
+            ideal = self._longest_lived(pair for outputs in self._outputs.values()
+                                        for pair in outputs.items())
         return ideal
+
+    def _longest_lived(self, pairs) -> dict[tuple, object]:
+        """Outputs by stable key; of two sharing one, the longer-lived wins.
+
+        Two live lineages of one event id (a re-encoding that arrived before
+        the old lineage's removal) give outputs that differ only in ``o_e``.
+        Keeping the larger one, not the one a result set yields last, keeps
+        the emitted rows independent of the string hash seed.
+        """
+        out: dict[tuple, object] = {}
+        for key, e in pairs:
+            cur = out.get(key)
+            if cur is None or self._out_event_oe(e) > self._out_event_oe(cur):
+                out[key] = e
+        return out
 
     def _bucket_ports(self, bucket) -> tuple | None:
         """The operator's input for one bucket; None if it yields nothing."""
@@ -761,10 +734,11 @@ class Pipeline:
 
     def __init__(self, plan, level: ConsistencyLevel = MIDDLE,
                  node_levels: Mapping[str, ConsistencyLevel] | None = None):
+        self.plan = plan
         self._store: dict = {}
         self._clock = [0]
         self._post: list = []
-        while isinstance(plan, (SliceOp, ProjectOp)):
+        while patterns.node_kind(plan).wrapper:
             self._post.append(plan)
             plan = plan.child
         self._post.reverse()
@@ -778,19 +752,22 @@ class Pipeline:
     def _build(self, plan, parent, parent_port, level, node_levels) -> _Node:
         name = f"{type(plan).__name__.lower()}{self._counter}"
         self._counter += 1
-        module = _module_for_plan(plan, self._store)
+        kind = patterns.node_kind(plan)
+        if kind.wrapper:
+            raise TypeError(f"cannot build an operator for plan node {plan!r}")
+        module = build_module(kind.tag, accept=make_accept(plan, self._store),
+                              blocks=make_blocks(plan, self._store),
+                              partition=make_partition(plan, self._store),
+                              **patterns.node_params(plan))
         instance = OperatorInstance(module, node_levels.get(name, level),
                                     name=name, store=self._store, clock=self._clock)
         node = _Node(instance, parent, parent_port, plan)
         self._nodes.append(node)
-        if isinstance(plan, Leaf):
+        ports = kind.ports_of(plan)
+        if not ports:  # a leaf reads its stream
             self._leaves.setdefault(plan.stream, []).append(node)
-        else:
-            kids = list(patterns.plan_children(plan))
-            for i, child in enumerate(kids):
-                self._build(child, node, i, level, node_levels)
-            if isinstance(plan, (UnlessOp, CancelWhenOp, NotOp)):
-                self._build(plan.blocker, node, len(kids), level, node_levels)
+        for i, child in enumerate(ports):
+            self._build(child, node, i, level, node_levels)
         return node
 
     @property
@@ -857,47 +834,15 @@ class Pipeline:
     def _postprocess(self, row: TritemporalEvent) -> TritemporalEvent | None:
         for wrapper in self._post:
             if isinstance(wrapper, SliceOp):
-                clipped = patterns.slice_table(HistoryTable([row]),
-                                               wrapper.occ, wrapper.valid)
-                rows = list(clipped)
-                if not rows:
+                row = patterns.slice_row(row, wrapper.occ, wrapper.valid)
+                if row is None:
                     return None
-                row = rows[0]
             else:
                 keep = set(wrapper.attrs) | set(RESERVED_ATTRS)
                 payload = Payload([(n, v) for n, v in row.payload.items() if n in keep])
                 row = TritemporalEvent(row.k, row.id, row.v_s, row.v_e,
                                        row.o_s, row.o_e, row.c_s, row.c_e, payload)
         return row
-
-
-def _module_for_plan(plan, store: dict) -> OpModule:
-    accept = make_accept(plan, store)
-    if isinstance(plan, Leaf):
-        return build_module("filter", accept=accept)
-    blocks = make_blocks(plan, store) if isinstance(plan, (UnlessOp, NotOp, CancelWhenOp)) else None
-    if isinstance(plan, SequenceOp):
-        return build_module("sequence", k=len(plan.children), w=plan.scope, accept=accept,
-                            partition=make_partition(plan, store))
-    if isinstance(plan, patterns.AtLeastOp):
-        return build_module("atleast", n=plan.n, k=len(plan.children), w=plan.scope,
-                            accept=accept)
-    if isinstance(plan, patterns.AtMostOp):
-        return build_module("atmost", n=plan.n, k=len(plan.children), w=plan.scope,
-                            accept=accept)
-    if isinstance(plan, patterns.AllOp):
-        return build_module("all", k=len(plan.children), w=plan.scope, accept=accept)
-    if isinstance(plan, patterns.AnyOp):
-        return build_module("any", k=len(plan.children), accept=accept)
-    if isinstance(plan, UnlessOp):
-        return build_module("unless", w=plan.scope, accept=accept, blocks=blocks,
-                            partition=make_partition(plan, store))
-    if isinstance(plan, NotOp):
-        return build_module("not", k=len(plan.children), w=plan.scope,
-                            accept=accept, blocks=blocks)
-    if isinstance(plan, CancelWhenOp):
-        return build_module("cancel_when", accept=accept, blocks=blocks)
-    raise TypeError(f"cannot build an operator for plan node {plan!r}")
 
 
 def _level_from_obj(obj: dict) -> ConsistencyLevel:
@@ -917,12 +862,8 @@ def _level_to_obj(level: ConsistencyLevel) -> dict:
 
 def pipeline_to_obj(pipeline: Pipeline) -> dict:
     """The wiring format: a plan tree plus per-node consistency overrides."""
-    root = pipeline._root.plan
-    for wrapper in reversed(pipeline._post):
-        root = (SliceOp(root, wrapper.occ, wrapper.valid)
-                if isinstance(wrapper, SliceOp) else ProjectOp(root, wrapper.attrs))
     return {
-        "plan": patterns.plan_to_obj(root),
+        "plan": patterns.plan_to_obj(pipeline.plan),
         "node_levels": {n.instance.name: _level_to_obj(n.instance.level)
                         for n in pipeline._nodes},
     }

@@ -10,6 +10,11 @@ Composites track lineage through ``cbt`` (the ordered contributor ids) and
 a query's WHERE clause are attached to plan nodes by
 :func:`inject_predicates` and evaluated through hook callables, so the
 temporal quantifiers below stay exactly as defined.
+
+Each plan-node kind is defined once, by its entry in :data:`NODE_KINDS`:
+wire tag, variable-binding rule, pure operator and engine facts.  Plan
+traversal, predicate injection, serialization, :func:`evaluate_plan` and
+the engine's modules all read that entry.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
+from dataclasses import fields as dataclass_fields
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .temporal import (
@@ -454,123 +461,96 @@ class ProjectOp:
     attrs: tuple[str, ...] = ()
 
 
-_MULTI = (SequenceOp, AtLeastOp, AtMostOp, AllOp, AnyOp)
-_NEGATION = (UnlessOp, NotOp, CancelWhenOp)
-_WRAPPER = (SliceOp, ProjectOp)
-
 Path = tuple[int, ...]
 
+# How a kind's output events address the variables bound beneath it:
+#
+# * LEAF: the leaf's own variable, at the empty path;
+# * POSITIONAL: each child's variables, under the child's position in the
+#   lineage (SEQUENCE, UNLESS's child, NOT's children);
+# * TRANSPARENT: the child's variables unchanged, because the outputs are
+#   child events (CANCEL-WHEN, slice, project);
+# * OPAQUE: none.  Selection operators (ATLEAST, ATMOST, ALL, ANY) order
+#   their lineage by start time rather than by operand position, so
+#   variables bound beneath them are only usable by predicates attached to
+#   the operator itself, never from enclosing operators.
+LEAF, POSITIONAL, TRANSPARENT, OPAQUE = "leaf", "positional", "transparent", "opaque"
 
-def plan_children(node) -> tuple:
-    if isinstance(node, Leaf):
-        return ()
-    if isinstance(node, _MULTI):
-        return node.children
-    if isinstance(node, UnlessOp):
-        return (node.child,)
-    if isinstance(node, NotOp):
-        return node.children
-    if isinstance(node, CancelWhenOp):
-        return (node.child,)
-    if isinstance(node, _WRAPPER):
-        return (node.child,)
-    raise TypeError(f"not a plan node: {node!r}")
+
+def node_kind(node) -> "NodeKind":
+    """The table entry of a plan node; TypeError for anything else."""
+    try:
+        return _KIND_OF[type(node)]
+    except KeyError:
+        raise TypeError(f"not a plan node: {node!r}") from None
 
 
 def bound_vars(node) -> dict[str, Path]:
-    """Variables addressable from this node's output events, as cbt paths.
-
-    Selection-style operators (ATLEAST, ATMOST, ALL, ANY) order their
-    lineage by start time rather than by operand position, so variables
-    bound beneath them are only usable by predicates attached to the
-    operator itself, never from enclosing operators.
-    """
-    if isinstance(node, Leaf):
+    """Variables addressable from this node's output events, as cbt paths."""
+    kind = node_kind(node)
+    binding = kind.binding
+    if binding == LEAF:
         return {node.var: ()} if node.var else {}
-    if isinstance(node, SequenceOp):
+    if binding == POSITIONAL:
         out: dict[str, Path] = {}
-        for i, child in enumerate(node.children):
+        for i, child in enumerate(kind.children_of(node)):
             for var, path in bound_vars(child).items():
                 out[var] = (i, *path)
         return out
-    if isinstance(node, _MULTI):
-        return {}
-    if isinstance(node, (UnlessOp, NotOp)):
-        if isinstance(node, NotOp):
-            inner = SequenceOp(node.children, node.scope)
-            paths = bound_vars(inner)
-            return paths
-        return {var: (0, *path) for var, path in bound_vars(node.child).items()}
-    if isinstance(node, CancelWhenOp):
-        return dict(bound_vars(node.child))
-    if isinstance(node, _WRAPPER):
-        return dict(bound_vars(node.child))
-    raise TypeError(f"not a plan node: {node!r}")
+    if binding == TRANSPARENT:
+        return bound_vars(node.child)
+    return {}
 
 
 def _ctx_vars(node) -> dict[str, tuple[int, Path]]:
     """Variables usable by predicates attached at this node."""
-    if isinstance(node, Leaf):
+    kind = node_kind(node)
+    if kind.binding == LEAF:
+        # A leaf's predicates test the leaf's own event, as contributor 0.
         return {node.var: (0, ())} if node.var else {}
     out: dict[str, tuple[int, Path]] = {}
-    for i, child in enumerate(plan_children(node)):
+    for i, child in enumerate(kind.children_of(node)):
         for var, path in bound_vars(child).items():
             out[var] = (i, path)
     return out
 
 
 def _neg_vars(node) -> dict[str, Path]:
-    if isinstance(node, _NEGATION):
-        return bound_vars(node.blocker)
-    return {}
+    return bound_vars(node.blocker) if node_kind(node).negated else {}
 
 
 def all_vars(node) -> frozenset[str]:
-    names = set()
-    if isinstance(node, Leaf):
-        if node.var:
-            names.add(node.var)
-        return frozenset(names)
-    if isinstance(node, _NEGATION):
-        names |= all_vars(node.blocker)
-    for child in plan_children(node):
-        names |= all_vars(child)
+    """Every variable bound anywhere in the plan, blockers included."""
+    kind = node_kind(node)
+    names = {node.var} if kind.binding == LEAF and node.var else set()
+    for port in kind.ports_of(node):
+        names |= all_vars(port)
     return frozenset(names)
-
-
-def _with_pred(node, pred: Predicate, negated: bool):
-    if negated:
-        return replace(node, neg_preds=node.neg_preds + (pred,))
-    return replace(node, preds=node.preds + (pred,))
 
 
 def _inject_one(node, pred: Predicate):
     """Attach at the lowest node binding every variable; None if impossible."""
-    if not isinstance(node, Leaf):
-        if isinstance(node, _NEGATION):
-            new_blocker = _inject_one(node.blocker, pred)
-            if new_blocker is not None:
-                return replace(node, blocker=new_blocker)
-        kids = plan_children(node)
-        for i, child in enumerate(kids):
-            new_child = _inject_one(child, pred)
-            if new_child is not None:
-                if isinstance(node, _MULTI) or isinstance(node, NotOp):
-                    new_children = kids[:i] + (new_child,) + kids[i + 1:]
-                    return replace(node, children=new_children)
-                return replace(node, child=new_child)
+    kind = node_kind(node)
+    # The blocker is tried first: a predicate it alone binds restricts it.
+    if kind.negated:
+        new = _inject_one(node.blocker, pred)
+        if new is not None:
+            return replace(node, blocker=new)
+    kids = kind.children_of(node)
+    for i, child in enumerate(kids):
+        new = _inject_one(child, pred)
+        if new is not None:
+            if kind.many:
+                return replace(node, children=kids[:i] + (new,) + kids[i + 1:])
+            return replace(node, child=new)
     wanted = pred.vars()
     pos = set(_ctx_vars(node))
-    if isinstance(node, Leaf):
-        if wanted <= pos:
-            return _with_pred(node, pred, negated=False)
-        return None
     if wanted <= pos:
-        return _with_pred(node, pred, negated=False)
-    if isinstance(node, _NEGATION):
+        return replace(node, preds=node.preds + (pred,))
+    if kind.negated:
         neg = set(_neg_vars(node))
         if wanted <= pos | neg and wanted & neg:
-            return _with_pred(node, pred, negated=True)
+            return replace(node, neg_preds=node.neg_preds + (pred,))
     return None
 
 
@@ -611,20 +591,35 @@ def _descend(event: PatternEvent, path: Path, store: EventStore) -> PatternEvent
 
 
 def make_accept(node, store: EventStore) -> AcceptHook | None:
-    if not getattr(node, "preds", ()):
-        return None
-    spots = _ctx_vars(node)
-    preds = node.preds
+    preds = getattr(node, "preds", ())
+    return _hook(node, store, preds, {}) if preds else None
 
-    def hook(ctx: Ctx) -> bool:
+
+def make_blocks(node, store: EventStore) -> BlockHook | None:
+    preds = getattr(node, "neg_preds", ())
+    return _hook(node, store, preds, _neg_vars(node)) if preds else None
+
+
+def _hook(node, store: EventStore, preds: tuple, neg_spots: dict[str, Path]):
+    """Test ``preds`` on the chosen contributors and, if given, a blocker.
+
+    A variable the blocker binds resolves to the blocker, also when a child
+    binds the same name.
+    """
+    spots = _ctx_vars(node)
+
+    def hook(ctx: Ctx, blocker: PatternEvent | None = None) -> bool:
         def lookup(var: str) -> PatternEvent | None:
+            path = neg_spots.get(var)
+            if path is not None:
+                return _descend(blocker, path, store)
             loc = spots.get(var)
             if loc is None:
                 return None
-            child_idx, path = loc
+            child_idx, sub = loc
             for idx, e in ctx:
                 if idx == child_idx:
-                    return _descend(e, path, store)
+                    return _descend(e, sub, store)
             return None
         return all(p.test(lookup) for p in preds)
 
@@ -661,31 +656,39 @@ def make_partition(node, store: EventStore) -> tuple[PartitionKey | None, ...] |
     port, so a bucket without one yields nothing.  The partition is
     complete, not exact: the hooks still test every candidate.
     """
+    rule = node_kind(node).partition
+    return None if rule is None else rule(node, store)
+
+
+def _sequence_partition(node, store: EventStore):
     spots = _ctx_vars(node)
-    if isinstance(node, SequenceOp):
-        for p in node.preds:
-            if p.op != "=" or not isinstance(p.rhs, AttrRef):
-                continue
-            lhs, rhs = spots.get(p.lhs.var), spots.get(p.rhs.var)
-            if lhs is None or rhs is None or lhs[0] == rhs[0]:
-                continue
-            keys: list[PartitionKey | None] = [None] * len(node.children)
-            keys[lhs[0]] = _partition_key(lhs[1], p.lhs.attr, store, (EVERY,), ())
-            keys[rhs[0]] = _partition_key(rhs[1], p.rhs.attr, store, (EVERY,), (_ABSENT,))
-            return tuple(keys)
-    if isinstance(node, UnlessOp):
-        # make_blocks resolves a name bound on both sides to the blocker.
-        neg_spots = _neg_vars(node)
-        for p in node.neg_preds:
-            if p.op != "=" or not isinstance(p.rhs, AttrRef):
-                continue
-            for child, blocker in ((p.lhs, p.rhs), (p.rhs, p.lhs)):
-                if (child.var in spots and child.var not in neg_spots
-                        and blocker.var in neg_spots):
-                    return (_partition_key(spots[child.var][1], child.attr, store,
-                                           (_UNRESOLVED,), (_ABSENT,)),
-                            _partition_key(neg_spots[blocker.var], blocker.attr, store,
-                                           (EVERY,), (_UNRESOLVED,), (_UNRESOLVED,)))
+    for p in node.preds:
+        if p.op != "=" or not isinstance(p.rhs, AttrRef):
+            continue
+        lhs, rhs = spots.get(p.lhs.var), spots.get(p.rhs.var)
+        if lhs is None or rhs is None or lhs[0] == rhs[0]:
+            continue
+        keys: list[PartitionKey | None] = [None] * len(node.children)
+        keys[lhs[0]] = _partition_key(lhs[1], p.lhs.attr, store, (EVERY,), ())
+        keys[rhs[0]] = _partition_key(rhs[1], p.rhs.attr, store, (EVERY,), (_ABSENT,))
+        return tuple(keys)
+    return None
+
+
+def _unless_partition(node, store: EventStore):
+    spots = _ctx_vars(node)
+    # make_blocks resolves a name bound on both sides to the blocker.
+    neg_spots = _neg_vars(node)
+    for p in node.neg_preds:
+        if p.op != "=" or not isinstance(p.rhs, AttrRef):
+            continue
+        for child, blocker in ((p.lhs, p.rhs), (p.rhs, p.lhs)):
+            if (child.var in spots and child.var not in neg_spots
+                    and blocker.var in neg_spots):
+                return (_partition_key(spots[child.var][1], child.attr, store,
+                                       (_UNRESOLVED,), (_ABSENT,)),
+                        _partition_key(neg_spots[blocker.var], blocker.attr, store,
+                                       (EVERY,), (_UNRESOLVED,), (_UNRESOLVED,)))
     return None
 
 
@@ -701,31 +704,6 @@ def _partition_key(path: Path, attr: str, store: EventStore, unresolved: tuple,
     return key
 
 
-def make_blocks(node, store: EventStore) -> BlockHook | None:
-    if not getattr(node, "neg_preds", ()):
-        return None
-    spots = _ctx_vars(node)
-    neg_spots = _neg_vars(node)
-    preds = node.neg_preds
-
-    def hook(ctx: Ctx, blocker: PatternEvent) -> bool:
-        def lookup(var: str) -> PatternEvent | None:
-            path = neg_spots.get(var)
-            if path is not None:
-                return _descend(blocker, path, store)
-            loc = spots.get(var)
-            if loc is None:
-                return None
-            child_idx, sub = loc
-            for idx, e in ctx:
-                if idx == child_idx:
-                    return _descend(e, sub, store)
-            return None
-        return all(p.test(lookup) for p in preds)
-
-    return hook
-
-
 def _clip(lo: Time, hi: Time, s: Time, e: Time) -> tuple[Time, Time] | None:
     if s == e:
         # Removal markers are clamped into the slice, never dropped: losing
@@ -736,44 +714,47 @@ def _clip(lo: Time, hi: Time, s: Time, e: Time) -> tuple[Time, Time] | None:
     return (cs, ce) if cs < ce else None
 
 
+def _slice_axes(e, occ: tuple[Time, Time] | None, valid: tuple[Time, Time] | None):
+    """``e``'s occurrence and valid intervals clipped to the slices, or None."""
+    o, v = (e.o_s, e.o_e), (e.v_s, e.v_e)
+    if occ is not None:
+        o = _clip(occ[0], occ[1], *o)
+        if o is None:
+            return None
+    if valid is not None:
+        v = _clip(valid[0], valid[1], *v)
+        if v is None:
+            return None
+    return o, v
+
+
 def slice_pattern_events(events: Iterable[PatternEvent],
                          occ: tuple[Time, Time] | None = None,
                          valid: tuple[Time, Time] | None = None) -> frozenset[PatternEvent]:
     out = []
     for e in events:
-        o = (e.o_s, e.o_e)
-        v = (e.v_s, e.v_e)
-        if occ is not None:
-            o = _clip(occ[0], occ[1], *o)
-            if o is None:
-                continue
-        if valid is not None:
-            v = _clip(valid[0], valid[1], *v)
-            if v is None:
-                continue
-        out.append(PatternEvent(e.id, v[0], v[1], o[0], o[1],
-                                rt=min(e.rt, v[0]), cbt=e.cbt, payload=e.payload))
+        axes = _slice_axes(e, occ, valid)
+        if axes is not None:
+            (o_s, o_e), (v_s, v_e) = axes
+            out.append(PatternEvent(e.id, v_s, v_e, o_s, o_e,
+                                    rt=min(e.rt, v_s), cbt=e.cbt, payload=e.payload))
     return frozenset(out)
+
+
+def slice_row(r: TritemporalEvent, occ: tuple[Time, Time] | None = None,
+              valid: tuple[Time, Time] | None = None) -> TritemporalEvent | None:
+    """``r`` clipped to the slices; None if it does not intersect them."""
+    axes = _slice_axes(r, occ, valid)
+    if axes is None:
+        return None
+    (o_s, o_e), (v_s, v_e) = axes
+    return TritemporalEvent(r.k, r.id, v_s, v_e, o_s, o_e, r.c_s, r.c_e, r.payload)
 
 
 def slice_table(h: HistoryTable, occ: tuple[Time, Time] | None = None,
                 valid: tuple[Time, Time] | None = None) -> HistoryTable:
     """Keep rows whose intervals intersect the slices, clipped to them."""
-    out = []
-    for r in h:
-        o = (r.o_s, r.o_e)
-        v = (r.v_s, r.v_e)
-        if occ is not None:
-            o = _clip(occ[0], occ[1], *o)
-            if o is None:
-                continue
-        if valid is not None:
-            v = _clip(valid[0], valid[1], *v)
-            if v is None:
-                continue
-        out.append(TritemporalEvent(r.k, r.id, v[0], v[1], o[0], o[1],
-                                    r.c_s, r.c_e, r.payload))
-    return HistoryTable(out)
+    return HistoryTable(s for r in h if (s := slice_row(r, occ, valid)) is not None)
 
 
 def project_payload(events: Iterable[PatternEvent],
@@ -786,6 +767,14 @@ def project_payload(events: Iterable[PatternEvent],
     return frozenset(out)
 
 
+def node_params(node) -> dict:
+    """The operator parameters a node's fields give, named as ``build_module``'s."""
+    params = {}
+    for param, get in node_kind(node).params:
+        params[param] = get(node)
+    return params
+
+
 def evaluate_plan(plan, inputs: Mapping[str, Iterable[PatternEvent]],
                   store: EventStore | None = None) -> frozenset[PatternEvent]:
     """Evaluate a plan tree over named input streams."""
@@ -795,44 +784,13 @@ def evaluate_plan(plan, inputs: Mapping[str, Iterable[PatternEvent]],
             store[e.id] = e
 
     def walk(node) -> frozenset[PatternEvent]:
-        if isinstance(node, Leaf):
-            events = tuple(inputs.get(node.stream, ()))
-            hook = make_accept(node, store)
-            if hook is not None:
-                events = tuple(e for e in events if hook(((0, e),)))
-            return frozenset(events)
-        if isinstance(node, SliceOp):
-            return slice_pattern_events(walk(node.child), node.occ, node.valid)
-        if isinstance(node, ProjectOp):
-            return project_payload(walk(node.child), node.attrs)
-
-        accept = make_accept(node, store)
-        if isinstance(node, _NEGATION):
-            blocks = make_blocks(node, store)
-            neg = walk(node.blocker)
-            if isinstance(node, UnlessOp):
-                result = unless(walk(node.child), neg, node.scope,
-                                accept=accept, blocks=blocks)
-            elif isinstance(node, NotOp):
-                result = not_seq(neg, [walk(c) for c in node.children],
-                                 node.scope, accept=accept, blocks=blocks)
-            else:
-                result = cancel_when(walk(node.child), neg,
-                                     accept=accept, blocks=blocks)
+        kind = node_kind(node)
+        if kind.binding == LEAF:
+            ports = (tuple(inputs.get(node.stream, ())),)
         else:
-            kids = [walk(c) for c in node.children]
-            if isinstance(node, SequenceOp):
-                result = sequence(kids, node.scope, accept=accept)
-            elif isinstance(node, AtLeastOp):
-                result = atleast(node.n, kids, node.scope, accept=accept)
-            elif isinstance(node, AtMostOp):
-                result = atmost(node.n, kids, node.scope, accept=accept)
-            elif isinstance(node, AllOp):
-                result = all_of(kids, node.scope, accept=accept)
-            elif isinstance(node, AnyOp):
-                result = any_of(kids, accept=accept)
-            else:
-                raise TypeError(f"not a plan node: {node!r}")
+            ports = tuple(walk(child) for child in kind.ports_of(node))
+        result = kind.run(node_params(node), ports, make_accept(node, store),
+                          make_blocks(node, store))
         for e in result:
             store.setdefault(e.id, e)
         return result
@@ -863,100 +821,179 @@ def _pred_from(obj: dict) -> Predicate:
 
 
 def plan_to_obj(node) -> dict:
-    def preds_of(n) -> dict:
-        obj = {}
-        if getattr(n, "preds", ()):
-            obj["preds"] = [_pred_obj(p) for p in n.preds]
-        if getattr(n, "neg_preds", ()):
-            obj["neg_preds"] = [_pred_obj(p) for p in n.neg_preds]
-        return obj
-
-    if isinstance(node, Leaf):
-        obj = {"type": "stream", "stream": node.stream}
-        if node.var:
-            obj["var"] = node.var
-        return obj | preds_of(node)
-    if isinstance(node, SequenceOp):
-        return {"type": "sequence", "scope": _time_obj(node.scope),
-                "children": [plan_to_obj(c) for c in node.children]} | preds_of(node)
-    if isinstance(node, AtLeastOp):
-        return {"type": "atleast", "n": node.n, "scope": _time_obj(node.scope),
-                "children": [plan_to_obj(c) for c in node.children]} | preds_of(node)
-    if isinstance(node, AtMostOp):
-        return {"type": "atmost", "n": node.n, "scope": _time_obj(node.scope),
-                "children": [plan_to_obj(c) for c in node.children]} | preds_of(node)
-    if isinstance(node, AllOp):
-        return {"type": "all", "scope": _time_obj(node.scope),
-                "children": [plan_to_obj(c) for c in node.children]} | preds_of(node)
-    if isinstance(node, AnyOp):
-        return {"type": "any",
-                "children": [plan_to_obj(c) for c in node.children]} | preds_of(node)
-    if isinstance(node, UnlessOp):
-        return {"type": "unless", "scope": _time_obj(node.scope),
-                "child": plan_to_obj(node.child),
-                "blocker": plan_to_obj(node.blocker)} | preds_of(node)
-    if isinstance(node, NotOp):
-        return {"type": "not", "scope": _time_obj(node.scope),
-                "blocker": plan_to_obj(node.blocker),
-                "children": [plan_to_obj(c) for c in node.children]} | preds_of(node)
-    if isinstance(node, CancelWhenOp):
-        return {"type": "cancel_when", "child": plan_to_obj(node.child),
-                "blocker": plan_to_obj(node.blocker)} | preds_of(node)
-    if isinstance(node, SliceOp):
-        obj = {"type": "slice", "child": plan_to_obj(node.child)}
-        if node.occ:
-            obj["occ"] = [_time_obj(node.occ[0]), _time_obj(node.occ[1])]
-        if node.valid:
-            obj["valid"] = [_time_obj(node.valid[0]), _time_obj(node.valid[1])]
-        return obj
-    if isinstance(node, ProjectOp):
-        return {"type": "project", "attrs": list(node.attrs),
-                "child": plan_to_obj(node.child)}
-    raise TypeError(f"not a plan node: {node!r}")
+    kind = node_kind(node)
+    obj = {"type": kind.tag}
+    for name, dump, _ in kind.fields:
+        value = dump(getattr(node, name))
+        if value is not None:
+            obj[name] = value
+    return obj
 
 
 def plan_from_obj(obj: dict):
-    preds = tuple(_pred_from(p) for p in obj.get("preds", ()))
-    neg = tuple(_pred_from(p) for p in obj.get("neg_preds", ()))
-    t = obj["type"]
-    if t == "stream":
-        return Leaf(obj["stream"], obj.get("var"), preds)
-    if t == "sequence":
-        return SequenceOp(tuple(plan_from_obj(c) for c in obj["children"]),
-                          _time_from(obj["scope"]), preds)
-    if t == "atleast":
-        return AtLeastOp(obj["n"], tuple(plan_from_obj(c) for c in obj["children"]),
-                         _time_from(obj["scope"]), preds)
-    if t == "atmost":
-        return AtMostOp(obj["n"], tuple(plan_from_obj(c) for c in obj["children"]),
-                        _time_from(obj["scope"]), preds)
-    if t == "all":
-        return AllOp(tuple(plan_from_obj(c) for c in obj["children"]),
-                     _time_from(obj["scope"]), preds)
-    if t == "any":
-        return AnyOp(tuple(plan_from_obj(c) for c in obj["children"]), preds)
-    if t == "unless":
-        return UnlessOp(plan_from_obj(obj["child"]), plan_from_obj(obj["blocker"]),
-                        _time_from(obj["scope"]), preds, neg)
-    if t == "not":
-        return NotOp(plan_from_obj(obj["blocker"]),
-                     tuple(plan_from_obj(c) for c in obj["children"]),
-                     _time_from(obj["scope"]), preds, neg)
-    if t == "cancel_when":
-        return CancelWhenOp(plan_from_obj(obj["child"]), plan_from_obj(obj["blocker"]),
-                            preds, neg)
-    if t == "slice":
-        occ = obj.get("occ")
-        valid = obj.get("valid")
-        return SliceOp(plan_from_obj(obj["child"]),
-                       tuple(_time_from(b) for b in occ) if occ else None,
-                       tuple(_time_from(b) for b in valid) if valid else None)
-    if t == "project":
-        return ProjectOp(plan_from_obj(obj["child"]), tuple(obj["attrs"]))
-    raise ValueError(f"unknown plan node type {t!r}")
+    kind = NODE_KINDS_BY_TAG.get(obj["type"])
+    if kind is None:
+        raise ValueError(f"unknown plan node type {obj['type']!r}")
+    return kind.cls(**{name: load(obj[name])
+                       for name, _, load in kind.fields if name in obj})
 
 
 def plan_dumps(node) -> str:
     """Deterministic serialized plan: identical plans give identical bytes."""
     return json.dumps(plan_to_obj(node), sort_keys=True, separators=(",", ":"),
                       allow_nan=False)
+
+
+# --- the plan-node table -------------------------------------------------------
+#
+# A field's role comes from its name and fixes which operator parameter it
+# gives and how it serializes: (parameter, value -> parameter with None for
+# the value itself, value -> JSON with None for omitted, JSON -> value).
+# Any other field is raw: it gives the parameter of its own name and
+# serializes as itself.
+
+def _span_obj(span):
+    return None if span is None else [_time_obj(span[0]), _time_obj(span[1])]
+
+
+def _span_from(v):
+    return tuple(_time_from(b) for b in v) if v else None
+
+
+def _preds_obj(preds):
+    return [_pred_obj(p) for p in preds] if preds else None
+
+
+_NODE_ROLE = (None, None, plan_to_obj, plan_from_obj)
+_PREDS_ROLE = (None, None, _preds_obj, lambda v: tuple(_pred_from(p) for p in v))
+_ROLES = {
+    "children": ("k", len, lambda v: [plan_to_obj(c) for c in v],
+                 lambda v: tuple(plan_from_obj(c) for c in v)),
+    "child": _NODE_ROLE,
+    "blocker": _NODE_ROLE,
+    "scope": ("w", None, _time_obj, _time_from),
+    "occ": ("occ", None, _span_obj, _span_from),
+    "valid": ("valid", None, _span_obj, _span_from),
+    "preds": _PREDS_ROLE,
+    "neg_preds": _PREDS_ROLE,
+}
+
+
+def _raw_role(name: str) -> tuple:
+    return (name, None, lambda v: list(v) if isinstance(v, tuple) else v,
+            lambda v: tuple(v) if isinstance(v, list) else v)
+
+
+# (parameters, ports, accept hook, block hook) -> output events
+Operator = Callable[[dict, tuple, "AcceptHook | None", "BlockHook | None"], frozenset]
+
+
+class NodeKind:
+    """The facts that differ between plan-node kinds.
+
+    ``tag`` is the kind's wire ``type`` and, for a kind with an engine
+    module, its :func:`engine.build_module` kind.  ``run`` is the kind's pure operator on its parameters (``w``, ``k``,
+    ``n`` and the raw fields, as :func:`node_params` gives them), its ports
+    and its hooks; :func:`evaluate_plan` and the engine both call it.  The
+    engine facts are functions of the same parameters: ``lag`` is how far an
+    output anchor can trail the inputs that settle it, and ``retire`` the
+    scope after which a retained input row can be forgotten, except on the
+    blocker port when ``keep_blocker`` is set.  A kind without ``lag`` has no
+    engine module: it is a wrapper a pipeline applies row-wise at its root.
+    ``partition`` gives :func:`make_partition`'s keys.
+
+    The rest is derived from the field roles of ``cls``.  ``children_of``
+    gives a node's operands without the blocker, and ``ports_of`` all of
+    them in engine port order: children, then child, then blocker.
+    """
+
+    def __init__(self, cls: type, tag: str, binding: str, run: Operator, *,
+                 lag: Callable[[dict], Time] | None = None,
+                 retire: Callable[[dict], Time] | None = None,
+                 keep_blocker: bool = False, partition: Callable | None = None):
+        self.cls, self.tag, self.binding, self.run = cls, tag, binding, run
+        self.lag, self.retire, self.keep_blocker = lag, retire, keep_blocker
+        self.partition = partition
+        self.wrapper = lag is None
+        names = [f.name for f in dataclass_fields(cls)]
+        roles = [(name, _ROLES.get(name) or _raw_role(name)) for name in names]
+        self.fields = tuple((name, dump, load) for name, (_, _, dump, load) in roles)
+        self.params = tuple((param, _getter(name, measure))
+                            for name, (param, measure, _, _) in roles if param)
+        self.many, self.single = "children" in names, "child" in names
+        self.negated = "blocker" in names
+        if self.many:
+            self.children_of = attrgetter("children")
+        elif self.single:
+            self.children_of = lambda node: (node.child,)
+        else:
+            self.children_of = lambda node: ()
+        children_of = self.children_of
+        self.ports_of = ((lambda node: children_of(node) + (node.blocker,))
+                         if self.negated else children_of)
+
+    def __repr__(self) -> str:
+        return f"NodeKind({self.cls.__name__}, {self.tag!r})"
+
+    def arity(self, params: dict) -> int:
+        """The engine module's port count; a leaf's one port is its stream."""
+        ports = (params["k"] if self.many else self.single) + self.negated
+        return ports or 1
+
+
+def _getter(name: str, measure: Callable | None) -> Callable:
+    get = attrgetter(name)
+    return get if measure is None else lambda node: measure(get(node))
+
+
+def _scope(params: dict) -> Time:
+    return params["w"]
+
+
+def _fixed(t: Time) -> Callable[[dict], Time]:
+    return lambda params: t
+
+
+NODE_KINDS = (
+    NodeKind(Leaf, "stream", LEAF,
+             lambda p, ports, accept, blocks: frozenset(
+                 e for e in ports[0] if accept is None or accept(((0, e),))),
+             lag=_fixed(0), retire=_fixed(0)),
+    NodeKind(SequenceOp, "sequence", POSITIONAL,
+             lambda p, ports, accept, blocks: sequence(ports, p["w"], accept=accept),
+             lag=_scope, retire=_scope, partition=_sequence_partition),
+    NodeKind(AtLeastOp, "atleast", OPAQUE,
+             lambda p, ports, accept, blocks: atleast(p["n"], ports, p["w"], accept=accept),
+             lag=_scope, retire=_scope),
+    NodeKind(AtMostOp, "atmost", OPAQUE,
+             lambda p, ports, accept, blocks: atmost(p["n"], ports, p["w"], accept=accept),
+             lag=_scope, retire=_scope),
+    NodeKind(AllOp, "all", OPAQUE,
+             lambda p, ports, accept, blocks: all_of(ports, p["w"], accept=accept),
+             lag=_scope, retire=_scope),
+    # ANY is ATLEAST(1, ..., 1): its scope is one tick.
+    NodeKind(AnyOp, "any", OPAQUE,
+             lambda p, ports, accept, blocks: any_of(ports, accept=accept),
+             lag=_fixed(1), retire=_fixed(1)),
+    NodeKind(UnlessOp, "unless", POSITIONAL,
+             lambda p, ports, accept, blocks: unless(ports[0], ports[1], p["w"],
+                                                     accept=accept, blocks=blocks),
+             lag=_scope, retire=_scope, partition=_unless_partition),
+    NodeKind(NotOp, "not", POSITIONAL,
+             lambda p, ports, accept, blocks: not_seq(ports[-1], ports[:-1], p["w"],
+                                                      accept=accept, blocks=blocks),
+             lag=_scope, retire=_scope),
+    # Cancellation looks back to each event's root time, which is not
+    # bounded by any scope: cancellers must never be forgotten.
+    NodeKind(CancelWhenOp, "cancel_when", TRANSPARENT,
+             lambda p, ports, accept, blocks: cancel_when(ports[0], ports[1],
+                                                          accept=accept, blocks=blocks),
+             lag=_fixed(0), retire=_scope, keep_blocker=True),
+    NodeKind(SliceOp, "slice", TRANSPARENT,
+             lambda p, ports, accept, blocks: slice_pattern_events(ports[0], p["occ"],
+                                                                   p["valid"])),
+    NodeKind(ProjectOp, "project", TRANSPARENT,
+             lambda p, ports, accept, blocks: project_payload(ports[0], p["attrs"])),
+)
+_KIND_OF = {kind.cls: kind for kind in NODE_KINDS}
+NODE_KINDS_BY_TAG = {kind.tag: kind for kind in NODE_KINDS}

@@ -137,6 +137,19 @@ class CancelWhenExpr:
     blocker: object
 
 
+def _bindings(node):
+    """Every binding under an expression, in source order."""
+    if isinstance(node, Binding):
+        yield node
+        return
+    for attr in ("body", "blocker", "seq"):
+        child = getattr(node, attr, None)
+        if child is not None:
+            yield from _bindings(child)
+    for child in getattr(node, "children", ()):
+        yield from _bindings(child)
+
+
 @dataclass(frozen=True)
 class AttrOperand:
     var: str
@@ -328,21 +341,7 @@ class _Parser:
         return QueryAst(name, when, where, output, slices)
 
     def _check_bindings(self, when) -> None:
-        names: list[str] = []
-
-        def walk(node):
-            if isinstance(node, Binding):
-                if node.var:
-                    names.append(node.var)
-                return
-            for attr in ("body", "blocker", "seq"):
-                child = getattr(node, attr, None)
-                if child is not None:
-                    walk(child)
-            for child in getattr(node, "children", ()):
-                walk(child)
-
-        walk(when)
+        names = [b.var for b in _bindings(when) if b.var]
         dupes = {n for n in names if names.count(n) > 1}
         if dupes:
             tok = self.tokens[0]
@@ -755,22 +754,7 @@ def compile_query(ast: QueryAst, ticks_per_minute: int = 1) -> CompileResult:
 
 def leaf_streams(ast: QueryAst) -> list[str]:
     """The distinct event-type names the query reads."""
-    names: list[str] = []
-
-    def walk(node):
-        if isinstance(node, Binding):
-            if node.type_name not in names:
-                names.append(node.type_name)
-            return
-        for attr in ("body", "blocker", "seq"):
-            child = getattr(node, attr, None)
-            if child is not None:
-                walk(child)
-        for child in getattr(node, "children", ()):
-            walk(child)
-
-    walk(ast.when)
-    return names
+    return list(dict.fromkeys(b.type_name for b in _bindings(ast.when)))
 
 
 def ast_to_obj(node) -> object:

@@ -391,3 +391,83 @@ class TestPlanSerialization:
     def test_deterministic_bytes(self):
         plan = CancelWhenOp(Leaf("A", "a"), Leaf("B"))
         assert plan_dumps(plan) == plan_dumps(CancelWhenOp(Leaf("A", "a"), Leaf("B")))
+
+    @staticmethod
+    def _golden_plans():
+        from cedr.patterns import AllOp, AnyOp, AtLeastOp, AtMostOp, NotOp, ProjectOp
+
+        def p(lhs, op, rhs):
+            if isinstance(rhs, str) and "." in rhs:
+                rhs = AttrRef(*rhs.split("."))
+            return Predicate(AttrRef(*lhs.split(".")), op, rhs)
+
+        a, b, c = Leaf("A", "x"), Leaf("B", "y"), Leaf("C", "z")
+        leaves = ('{"stream":"A","type":"stream","var":"x"},'
+                  '{"stream":"B","type":"stream","var":"y"}')
+        xy = '{"lhs":{"attr":"M","var":"x"},"op":"%s","rhs":{"attr":"M","var":"y"}}'
+        xz = '{"lhs":{"attr":"M","var":"x"},"op":"=","rhs":{"attr":"M","var":"z"}}'
+        seq = '{"children":[%s],"scope":%d,"type":"sequence"}'
+        return [
+            (Leaf("A"), '{"stream":"A","type":"stream"}'),
+            (Leaf("A", "x", (p("x.M", "=", "m1"), p("x.N", ">=", 3))),
+             '{"preds":[{"lhs":{"attr":"M","var":"x"},"op":"=","rhs":"m1"},'
+             '{"lhs":{"attr":"N","var":"x"},"op":">=","rhs":3}],'
+             '"stream":"A","type":"stream","var":"x"}'),
+            (SequenceOp((a, b), 12, (p("x.M", "=", "y.M"),)),
+             '{"children":[%s],"preds":[%s],"scope":12,"type":"sequence"}'
+             % (leaves, xy % "=")),
+            (AtLeastOp(2, (a, b, c), 9, (p("x.M", "!=", 2.5),)),
+             '{"children":[%s,{"stream":"C","type":"stream","var":"z"}],"n":2,'
+             '"preds":[{"lhs":{"attr":"M","var":"x"},"op":"!=","rhs":2.5}],'
+             '"scope":9,"type":"atleast"}' % leaves),
+            (AtMostOp(1, (a, Leaf("B")), 6),
+             '{"children":[{"stream":"A","type":"stream","var":"x"},'
+             '{"stream":"B","type":"stream"}],"n":1,"scope":6,"type":"atmost"}'),
+            (AllOp((a, b), INF),
+             '{"children":[%s],"scope":"inf","type":"all"}' % leaves),
+            (AnyOp((Leaf("A"), b), (p("y.M", "<", True),)),
+             '{"children":[{"stream":"A","type":"stream"},'
+             '{"stream":"B","type":"stream","var":"y"}],'
+             '"preds":[{"lhs":{"attr":"M","var":"y"},"op":"<","rhs":true}],"type":"any"}'),
+            (UnlessOp(SequenceOp((a, b), 12), c, 4, (p("x.M", "=", "y.M"),),
+                      (p("x.M", "=", "z.M"),)),
+             '{"blocker":{"stream":"C","type":"stream","var":"z"},"child":%s,'
+             '"neg_preds":[%s],"preds":[%s],"scope":4,"type":"unless"}'
+             % (seq % (leaves, 12), xz, xy % "=")),
+            (NotOp(c, (a, b), 10, (p("x.M", "<=", "y.M"),), (p("x.M", "=", "z.M"),)),
+             '{"blocker":{"stream":"C","type":"stream","var":"z"},"children":[%s],'
+             '"neg_preds":[%s],"preds":[%s],"scope":10,"type":"not"}'
+             % (leaves, xz, xy % "<=")),
+            (CancelWhenOp(SequenceOp((a, b), 10), c, (), (p("z.M", "=", "x.M"),)),
+             '{"blocker":{"stream":"C","type":"stream","var":"z"},"child":%s,'
+             '"neg_preds":[{"lhs":{"attr":"M","var":"z"},"op":"=",'
+             '"rhs":{"attr":"M","var":"x"}}],"type":"cancel_when"}' % (seq % (leaves, 10))),
+            (SliceOp(Leaf("A"), occ=(2, 51), valid=(0, INF)),
+             '{"child":{"stream":"A","type":"stream"},"occ":[2,51],"type":"slice",'
+             '"valid":[0,"inf"]}'),
+            (SliceOp(Leaf("A"), valid=(0, 41)),
+             '{"child":{"stream":"A","type":"stream"},"type":"slice","valid":[0,41]}'),
+            (ProjectOp(Leaf("A")),
+             '{"attrs":[],"child":{"stream":"A","type":"stream"},"type":"project"}'),
+            (ProjectOp(SliceOp(SequenceOp((a, b), 8), occ=(0, 31)), ("Machine_Id", "N")),
+             '{"attrs":["Machine_Id","N"],"child":{"child":%s,"occ":[0,31],'
+             '"type":"slice"},"type":"project"}' % (seq % (leaves, 8))),
+        ]
+
+    def test_golden_bytes_for_every_node_kind(self):
+        golden = self._golden_plans()
+        assert len({type(plan) for plan, _ in golden}) == 11
+        for plan, text in golden:
+            assert plan_dumps(plan) == text
+
+    def test_every_node_kind_round_trips(self):
+        for plan, _ in self._golden_plans():
+            assert plan_from_obj(plan_to_obj(plan)) == plan
+
+    def test_unknown_node_type_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            plan_from_obj({"type": "sometimes", "children": []})
+
+    def test_non_plan_node_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            plan_to_obj(("not", "a", "node"))
