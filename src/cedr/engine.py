@@ -103,19 +103,25 @@ class Guarantee:
 
 # --- wire form of pattern events --------------------------------------------
 
+# A primitive event's row carries its payload as is: a Payload is immutable,
+# so the row and the event share it.  Only a composite, or an event whose
+# root time is not its start, spells its lineage out in ``@rt``/``@cbt``.
+
 def pattern_event_to_row(e: PatternEvent, k: str, c_s: Time) -> TritemporalEvent:
-    items = list(e.payload.items())
+    payload = e.payload
     if e.cbt or e.rt != e.v_s:
-        items.append((RT_ATTR, int(e.rt)))
-        items.append((CBT_ATTR, json.dumps(list(e.cbt))))
-    return TritemporalEvent(k, e.id, e.v_s, e.v_e, e.o_s, e.o_e, c_s, INF,
-                            Payload(items))
+        payload = Payload([*payload.items(), (RT_ATTR, int(e.rt)),
+                           (CBT_ATTR, json.dumps(list(e.cbt)))])
+    return TritemporalEvent(k, e.id, e.v_s, e.v_e, e.o_s, e.o_e, c_s, INF, payload)
 
 
 def pattern_event_from_row(r: TritemporalEvent) -> PatternEvent:
-    rt = r.payload.get(RT_ATTR, r.v_s)
-    cbt = tuple(json.loads(r.payload.get(CBT_ATTR, "[]")))
-    payload = Payload([(n, v) for n, v in r.payload.items()
+    payload = r.payload
+    if RT_ATTR not in payload and CBT_ATTR not in payload:
+        return PatternEvent(r.id, r.v_s, r.v_e, r.o_s, r.o_e, r.v_s, (), payload)
+    rt = payload.get(RT_ATTR, r.v_s)
+    cbt = tuple(json.loads(payload.get(CBT_ATTR, "[]")))
+    payload = Payload([(n, v) for n, v in payload.items()
                        if n not in RESERVED_ATTRS])
     return PatternEvent(r.id, r.v_s, r.v_e, r.o_s, r.o_e, rt, cbt, payload)
 
@@ -225,6 +231,9 @@ def build_module(kind: str, **params) -> OpModule:
     node = patterns.NODE_KINDS_BY_TAG.get("stream" if kind == "filter" else kind)
     if node is None or node.wrapper:
         raise ValueError(f"unknown operator kind {kind!r}")
+    missing = [name for name in node.required if name not in params]
+    if missing:
+        raise KeyError(f"operator kind {kind!r} needs {', '.join(missing)}")
     p = {"w": 1, "k": 2, **params}
     run, accept, blocks = node.run, p.get("accept"), p.get("blocks")
     arity = node.arity(p)
@@ -294,13 +303,20 @@ class OperatorInstance:
         self._store = {} if store is None else store
         self._ports = [_Port() for _ in range(module.arity)]
         self._keys = module.partition or (None,) * module.arity
-        # Each bucket's last output by stable key, and the buckets a change
-        # has touched since (all of them once an EVERY event changed).
+        # Each bucket's last output by stable key, the buckets holding each
+        # key, and the buckets a change has touched since (all of them once
+        # an EVERY event changed).
         self._outputs: dict[object, dict[tuple, object]] = {}
+        self._holders: dict[tuple, tuple] = {}
         self._stale: set = set()
         self._all_stale = False
         self._buffer: list[_Buffered] = []
         self._tracked: dict[tuple, _Tracked] = {}
+        # The ideal output's keys are the tracked ones plus the held ones;
+        # ``_pending`` has the new ideal output (None if gone) of each
+        # tracked key whose output changed since the last reconcile.
+        self._pending: dict[tuple, object] = {}
+        self._held: dict[tuple, object] = {}
         self._incarnations: dict[str, int] = {}
         self._in_log: list[AnnotatedRow] = []
         self._out_log: list[AnnotatedRow] = []
@@ -459,8 +475,9 @@ class OperatorInstance:
         if changed:
             # Freeze silently: outputs that are no longer derivable from the
             # trimmed state keep their emitted rows but stop being repaired.
-            ideal = self._ideal()
-            for key in [k for k in self._tracked if k not in ideal]:
+            self._refresh()
+            for key in [k for k, now in self._pending.items() if now is None]:
+                del self._pending[key]
                 del self._tracked[key]
 
     def _drain(self, frontier_moved: bool = False) -> list[TritemporalEvent]:
@@ -523,42 +540,82 @@ class OperatorInstance:
         else:
             self._stale.update(joined)
 
-    def _ideal(self) -> dict[tuple, object]:
-        """The operator's output over the live state, keyed by stable key.
+    def _refresh(self) -> None:
+        """Evaluate the stale buckets and file the keys whose output changed.
 
-        Only stale buckets are evaluated; the others keep their last output.
-        A module without a partition is one bucket, which every change
-        reaches.  It is evaluated on every call, also when nothing changed
-        since the last one (a frontier move at infinite blocking): reusing
-        its result there is a separate cache, with its own memory cost.
+        The ideal output is the operator's output over the live state, keyed
+        by stable key: the union of the buckets' last outputs.  Only stale
+        buckets are evaluated; the others keep their last output.  A module
+        without a partition is one bucket, which every change reaches.  It
+        is evaluated on every call, also when nothing changed since the last
+        one (a frontier move at infinite blocking): reusing its result there
+        is a separate cache, with its own memory cost.
+
+        Each key that appeared, vanished or changed its end in a bucket's
+        output is resolved again over every bucket holding it, and goes to
+        ``_pending`` if it is tracked and to ``_held`` otherwise.  So a
+        reconcile diffs only what changed and what is held.
         """
         if self._all_stale or self.module.partition is None:
             stale = set(self._outputs).union(*(p.buckets for p in self._ports))
         else:
             stale = self._stale
         self._stale, self._all_stale = set(), False
+        oe = self._out_event_oe
+        changed = []
         for bucket in stale:
+            old = self._outputs.get(bucket, {})
+            new = {}
             ports = self._bucket_ports(bucket)
-            outputs = {}
             if ports is not None:
                 self.evaluated_rows += sum(map(len, ports))
                 result = self.module.evaluate(ports, self._store)
-                outputs = {self._stable_key(e): e for e in result}
-                if len(outputs) < len(result):
-                    outputs = self._longest_lived((self._stable_key(e), e) for e in result)
-            if outputs:
-                self._outputs[bucket] = outputs
+                new = {self._stable_key(e): e for e in result}
+                if len(new) < len(result):
+                    new = self._longest_lived((self._stable_key(e), e) for e in result)
+            if new:
+                self._outputs[bucket] = new
             else:
                 self._outputs.pop(bucket, None)
-        if len(self._outputs) == 1:
-            return next(iter(self._outputs.values()))
-        ideal: dict[tuple, object] = {}
-        for outputs in self._outputs.values():
-            ideal.update(outputs)
-        if len(ideal) < sum(map(len, self._outputs.values())):
-            ideal = self._longest_lived(pair for outputs in self._outputs.values()
-                                        for pair in outputs.items())
-        return ideal
+            for key, e in new.items():
+                was = old.get(key)
+                if was is None:
+                    self._holders[key] = self._holders.get(key, ()) + (bucket,)
+                    changed.append(key)
+                elif oe(was) != oe(e):
+                    changed.append(key)
+            for key in old:
+                if key not in new:
+                    # Buckets match as dict keys do: by identity, then value.
+                    rest = tuple(b for b in self._holders[key]
+                                 if b is not bucket and b != bucket)
+                    if rest:
+                        self._holders[key] = rest
+                    else:
+                        del self._holders[key]
+                    changed.append(key)
+        for key in changed:
+            now = self._resolve(key)
+            if key in self._tracked:
+                self._pending[key] = now
+            elif now is None:
+                self._held.pop(key, None)
+            else:
+                self._held[key] = now
+
+    def _resolve(self, key: tuple):
+        """The ideal output under ``key``; None if no bucket holds it."""
+        holders = self._holders.get(key)
+        if holders is None:
+            return None
+        if len(holders) == 1:
+            return self._outputs[holders[0]][key]
+        return self._longest_lived((key, self._outputs[b][key]) for b in holders)[key]
+
+    def _ideal(self) -> dict[tuple, object]:
+        """The whole ideal output by stable key, after a refresh."""
+        self._refresh()
+        return {key: self._resolve(key) for key in self._holders}
 
     def _longest_lived(self, pairs) -> dict[tuple, object]:
         """Outputs by stable key; of two sharing one, the longer-lived wins.
@@ -627,15 +684,16 @@ class OperatorInstance:
 
     def _reconcile(self) -> list[TritemporalEvent]:
         self.reconciles += 1
-        ideal = self._ideal()
+        self._refresh()
         bound = None
         if self.level.blocking == INF:
             frontier = self._guarantee_frontier()
             bound = frontier - self.module.lag if frontier != NEG else NEG
 
         actions: list[tuple[Time, int, tuple, list]] = []
-        for key, tracked in list(self._tracked.items()):
-            now = ideal.get(key)
+        pending, self._pending = self._pending, {}
+        for key, now in pending.items():
+            tracked = self._tracked[key]
             new_o_e = self._out_event_oe(now) if now is not None else None
             if now is not None and new_o_e == tracked.o_e:
                 continue
@@ -649,23 +707,23 @@ class OperatorInstance:
                                                  ("insert", key, now)]))
         horizon = self._horizon()
         suppress_below = horizon - self.module.lag
-        for key, e in ideal.items():
-            if key not in self._tracked:
-                anchor = e.o_s if self.module.pattern_mode else e.v_s
-                if anchor < suppress_below:
-                    # Forgotten past: results anchored behind the memory
-                    # horizon are never (re)introduced.  The operator lag
-                    # protects genuinely new results whose anchors trail
-                    # the inputs that produced them.
-                    continue
-                if bound is None or anchor <= bound:
-                    actions.append((anchor, 1, key, [("insert", key, e)]))
+        for key, e in self._held.items():
+            anchor = e.o_s if self.module.pattern_mode else e.v_s
+            if anchor < suppress_below:
+                # Forgotten past: results anchored behind the memory
+                # horizon are never (re)introduced.  The operator lag
+                # protects genuinely new results whose anchors trail
+                # the inputs that produced them.
+                continue
+            if bound is None or anchor <= bound:
+                actions.append((anchor, 1, key, [("insert", key, e)]))
 
         actions.sort(key=lambda a: (a[0], a[1], repr(a[2])))
         emitted: list[TritemporalEvent] = []
         for _, _, _, steps in actions:
             for op, key, e in steps:
                 if op == "insert":
+                    self._held.pop(key, None)
                     k = self._fresh_k(key)
                     row = self._insert_row(k, e)
                     self._tracked[key] = _Tracked(k, e, self._out_event_oe(e))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, replace
 from dataclasses import fields as dataclass_fields
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence
@@ -643,11 +643,12 @@ PartitionKey = Callable[[PatternEvent], tuple]
 
 
 def make_partition(node, store: EventStore) -> tuple[PartitionKey | None, ...] | None:
-    """Per-port hash-partition keys for a SEQUENCE or an UNLESS, or None.
+    """Per-port hash-partition keys for a leaf, a SEQUENCE or an UNLESS, or None.
 
-    A SEQUENCE is keyed on its first ``=`` predicate between variables of
-    two different children, an UNLESS on its first ``=`` negation predicate
-    between a variable of the child and one of the blocker.  The keys follow
+    A leaf files each event under its own id.  A SEQUENCE is keyed on its
+    first ``=`` predicate between variables of two different children, an
+    UNLESS on its first ``=`` negation predicate between a variable of the
+    child and one of the blocker.  The keys follow
     :meth:`Predicate.test`: an unresolved variable makes the predicate
     vacuously true, and a missing attribute makes it false unless the
     left-hand variable is unresolved.  So every SEQUENCE match shares a
@@ -658,6 +659,17 @@ def make_partition(node, store: EventStore) -> tuple[PartitionKey | None, ...] |
     """
     rule = node_kind(node).partition
     return None if rule is None else rule(node, store)
+
+
+def _leaf_partition(node, store: EventStore):
+    # Each event is its own bucket, so a change re-reads only its event.
+    # Two lineages of one id share the bucket, where the engine keeps the
+    # longer-lived of their outputs.
+    return (_own_id,)
+
+
+def _own_id(e: PatternEvent) -> tuple:
+    return (e.id,)
 
 
 def _sequence_partition(node, store: EventStore):
@@ -905,6 +917,7 @@ class NodeKind:
     The rest is derived from the field roles of ``cls``.  ``children_of``
     gives a node's operands without the blocker, and ``ports_of`` all of
     them in engine port order: children, then child, then blocker.
+    ``required`` names the parameters a module cannot be built without.
     """
 
     def __init__(self, cls: type, tag: str, binding: str, run: Operator, *,
@@ -920,6 +933,11 @@ class NodeKind:
         self.fields = tuple((name, dump, load) for name, (_, _, dump, load) in roles)
         self.params = tuple((param, _getter(name, measure))
                             for name, (param, measure, _, _) in roles if param)
+        # A raw field without a default is a parameter the operator cannot
+        # run without; a leaf's raw fields name its input instead.
+        self.required = () if binding == LEAF else tuple(
+            f.name for f in dataclass_fields(cls)
+            if f.name not in _ROLES and f.default is MISSING)
         self.many, self.single = "children" in names, "child" in names
         self.negated = "blocker" in names
         if self.many:
@@ -958,7 +976,7 @@ NODE_KINDS = (
     NodeKind(Leaf, "stream", LEAF,
              lambda p, ports, accept, blocks: frozenset(
                  e for e in ports[0] if accept is None or accept(((0, e),))),
-             lag=_fixed(0), retire=_fixed(0)),
+             lag=_fixed(0), retire=_fixed(0), partition=_leaf_partition),
     NodeKind(SequenceOp, "sequence", POSITIONAL,
              lambda p, ports, accept, blocks: sequence(ports, p["w"], accept=accept),
              lag=_scope, retire=_scope, partition=_sequence_partition),

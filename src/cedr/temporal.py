@@ -45,6 +45,8 @@ class AmbiguousLineage(TemporalError):
 
 
 def is_time(value: object) -> bool:
+    if type(value) is int:
+        return value >= 0
     if value is INF or (isinstance(value, float) and value == INF):
         return True
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
@@ -110,6 +112,9 @@ class Payload(Mapping):
 
     def __getitem__(self, name: str) -> Scalar:
         return self._map[name]
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._map
 
     def __iter__(self) -> Iterator[str]:
         return iter(n for n, _ in self._items)

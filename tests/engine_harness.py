@@ -119,26 +119,35 @@ def honest_schedule(arrivals, every: int):
     return schedule
 
 
-def run_module(module, arrivals, level, schedule=(), collect_guarantees=None):
+def run_module(module, arrivals, level, schedule=(), collect_guarantees=None,
+               after=None):
+    """Feed ``arrivals`` and ``schedule`` to a new instance, then flush it.
+
+    ``after`` is called with the instance after every arrival and guarantee.
+    """
     inst = OperatorInstance(module, level)
     out = []
     sched = sorted(schedule, key=lambda s: s[0])
     si = 0
-    for i, (port, row) in enumerate(arrivals):
-        while si < len(sched) and sched[si][0] <= i:
-            _, port_g, threshold = sched[si]
-            rows, g = inst.declare_guarantee(threshold, port_g)
-            out.extend(rows)
-            if collect_guarantees is not None and g is not None:
-                collect_guarantees.append(g)
-            si += 1
-        out.extend(inst.ingest(row, port))
-    while si < len(sched):
+
+    def guarantee():
         _, port_g, threshold = sched[si]
         rows, g = inst.declare_guarantee(threshold, port_g)
         out.extend(rows)
         if collect_guarantees is not None and g is not None:
             collect_guarantees.append(g)
+        if after:
+            after(inst)
+
+    for i, (port, row) in enumerate(arrivals):
+        while si < len(sched) and sched[si][0] <= i:
+            guarantee()
+            si += 1
+        out.extend(inst.ingest(row, port))
+        if after:
+            after(inst)
+    while si < len(sched):
+        guarantee()
         si += 1
     out.extend(inst.flush())
     return inst, out
