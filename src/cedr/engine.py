@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
 from . import algebra, patterns
@@ -38,7 +39,6 @@ from .patterns import (
 from .temporal import (
     INF,
     AnnotatedHistoryTable,
-    AnnotatedRow,
     Payload,
     SyncPointPair,
     TemporalError,
@@ -46,6 +46,7 @@ from .temporal import (
     TritemporalEvent,
     UnitemporalEvent,
     _reduce_wins,
+    check_time,
     is_sync_point,
 )
 
@@ -106,23 +107,46 @@ class Guarantee:
 # A primitive event's row carries its payload as is: a Payload is immutable,
 # so the row and the event share it.  Only a composite, or an event whose
 # root time is not its start, spells its lineage out in ``@rt``/``@cbt``.
+#
+# Inside a pipeline a node hands its parent each output row together with
+# the event it holds, and the row carries the event's payload without
+# ``@rt``/``@cbt``: those are spelled out only at the wire edge, for the
+# pipeline's output and for callers of the public instance methods.
 
 def pattern_event_to_row(e: PatternEvent, k: str, c_s: Time) -> TritemporalEvent:
-    payload = e.payload
-    if e.cbt or e.rt != e.v_s:
-        payload = Payload([*payload.items(), (RT_ATTR, int(e.rt)),
-                           (CBT_ATTR, json.dumps(list(e.cbt)))])
-    return TritemporalEvent(k, e.id, e.v_s, e.v_e, e.o_s, e.o_e, c_s, INF, payload)
+    return _wire(TritemporalEvent._trusted(k, e.id, e.v_s, e.v_e, e.o_s, e.o_e,
+                                           check_time(c_s, "c_s"), INF, e.payload), e)
+
+
+def _wire(row: TritemporalEvent, e: PatternEvent | None) -> TritemporalEvent:
+    """The wire form of a row built from ``e``'s payload.
+
+    A row that carries a payload of its own (one that came in from the wire)
+    is its own wire form, and so is a row without an event (a merged row).
+    """
+    if e is None or row.payload is not e.payload or not (e.cbt or e.rt != e.v_s):
+        return row
+    payload = Payload(e.payload.pairs + ((RT_ATTR, int(e.rt)),
+                                         (CBT_ATTR, json.dumps(list(e.cbt)))))
+    return TritemporalEvent._trusted(row.k, row.id, row.v_s, row.v_e, row.o_s, row.o_e,
+                                     row.c_s, row.c_e, payload)
+
+
+def _wire_all(out: list[tuple]) -> list[TritemporalEvent]:
+    return [_wire(row, e) for row, e in out]
 
 
 def pattern_event_from_row(r: TritemporalEvent) -> PatternEvent:
     payload = r.payload
     if RT_ATTR not in payload and CBT_ATTR not in payload:
+        if type(r) is TritemporalEvent and r.v_s < r.v_e:
+            # A valid row with a non-empty valid interval is a valid
+            # primitive event.
+            return PatternEvent._trusted(r.id, r.v_s, r.v_e, r.o_s, r.o_e, r.v_s, (), payload)
         return PatternEvent(r.id, r.v_s, r.v_e, r.o_s, r.o_e, r.v_s, (), payload)
     rt = payload.get(RT_ATTR, r.v_s)
     cbt = tuple(json.loads(payload.get(CBT_ATTR, "[]")))
-    payload = Payload([(n, v) for n, v in payload.items()
-                       if n not in RESERVED_ATTRS])
+    payload = Payload([(n, v) for n, v in payload.pairs if n not in RESERVED_ATTRS])
     return PatternEvent(r.id, r.v_s, r.v_e, r.o_s, r.o_e, rt, cbt, payload)
 
 
@@ -318,13 +342,16 @@ class OperatorInstance:
         self._pending: dict[tuple, object] = {}
         self._held: dict[tuple, object] = {}
         self._incarnations: dict[str, int] = {}
-        self._in_log: list[AnnotatedRow] = []
-        self._out_log: list[AnnotatedRow] = []
+        # (sync, row, event) per arrival and per emitted row; the wire form
+        # of a row is made only when a table is read (see _wire).
+        self._in_log: list[tuple] = []
+        self._out_log: list[tuple] = []
         self._clock = clock if clock is not None else [0]
+        check_time(self._clock[0], "clock")
         self._seq = 0
         self._max_seen: Time = NEG
         self._dirty = False
-        self._pending_switch_rows: list[TritemporalEvent] = []
+        self._pending_switch_rows: list[tuple] = []
         self.blocking_time: Time = 0
         self.max_state_rows = 0
         self.output_rows = 0
@@ -337,14 +364,25 @@ class OperatorInstance:
 
     def ingest(self, row: TritemporalEvent, port: int = 0) -> list[TritemporalEvent]:
         """Accept one arrival; returns whatever output it releases."""
+        event = None
+        if self.module.pattern_mode and row.o_s < row.o_e:
+            event = pattern_event_from_row(row)
+        return _wire_all(self._take(row, port, event))
+
+    def _take(self, row: TritemporalEvent, port: int, event) -> list[tuple]:
+        """``ingest`` of a row and, if the row is live, its decoded pattern event.
+
+        Returns the released output as (row, event) pairs, for _wire.  A
+        removal row (``o_s == o_e``) is never decoded nor stored: its valid
+        interval may be empty, and it retracts an event already stored.
+        """
         p = self._ports[port]
         row = self._restamp(row)
         sync = row.o_s if row.k not in p.seen else row.o_e
         p.seen.add(row.k)
-        self._in_log.append(AnnotatedRow(sync, row))
-        event = None
-        if self.module.pattern_mode:
-            event = self._store[row.id] = pattern_event_from_row(row)
+        self._in_log.append((sync, row, event))
+        if event is not None and row.o_s < row.o_e:
+            self._store[row.id] = event
         horizon = self._horizon()
         if sync < horizon:
             self.dropped_rows += 1
@@ -360,6 +398,10 @@ class OperatorInstance:
     def declare_guarantee(self, threshold: Time, port: int = 0
                           ) -> tuple[list[TritemporalEvent], Guarantee | None]:
         """Raise one input's frontier; returns released rows and the output promise."""
+        out, promise = self._declare(threshold, port)
+        return _wire_all(out), promise
+
+    def _declare(self, threshold: Time, port: int) -> tuple[list[tuple], Guarantee | None]:
         p = self._ports[port]
         if threshold < p.threshold:
             raise NonMonotoneGuarantee(
@@ -372,17 +414,20 @@ class OperatorInstance:
 
     def flush(self) -> list[TritemporalEvent]:
         """End of stream: every input frontier jumps to infinity."""
+        return _wire_all(self._flush())
+
+    def _flush(self) -> list[tuple]:
         out = []
         for port in range(len(self._ports)):
-            rows, _ = self.declare_guarantee(INF, port)
-            out.extend(rows)
+            out.extend(self._declare(INF, port)[0])
         return out
 
     def switch_level(self, new_level: ConsistencyLevel, at: SyncPointPair) -> None:
         """Change the consistency level at a sync point of both streams."""
-        if not is_sync_point(self.input_table(), at):
+        # Sync points read only sync values and arrival stamps: no wire form.
+        if not is_sync_point(AnnotatedHistoryTable(r[:2] for r in self._in_log), at):
             raise NotASyncPoint(f"({at.t_o}, {at.t_c}) is not a sync point of the input")
-        if not is_sync_point(self.output_table(), at):
+        if not is_sync_point(AnnotatedHistoryTable(r[:2] for r in self._out_log), at):
             raise NotASyncPoint(f"({at.t_o}, {at.t_c}) is not a sync point of the output")
         if new_level == self.level:
             return
@@ -392,9 +437,9 @@ class OperatorInstance:
 
     def take_switch_rows(self) -> list[TritemporalEvent]:
         """Rows released by the most recent level switch."""
-        rows = self._pending_switch_rows
+        out = self._pending_switch_rows
         self._pending_switch_rows = []
-        return rows
+        return _wire_all(out)
 
     def metrics(self) -> dict:
         return {
@@ -408,13 +453,13 @@ class OperatorInstance:
         }
 
     def input_table(self) -> AnnotatedHistoryTable:
-        return AnnotatedHistoryTable(self._in_log)
+        return AnnotatedHistoryTable((sync, _wire(row, e)) for sync, row, e in self._in_log)
 
     def output_table(self) -> AnnotatedHistoryTable:
-        return AnnotatedHistoryTable(self._out_log)
+        return AnnotatedHistoryTable((sync, _wire(row, e)) for sync, row, e in self._out_log)
 
     def output_rows_list(self) -> list[TritemporalEvent]:
-        return [r.event for r in self._out_log]
+        return [_wire(row, e) for _, row, e in self._out_log]
 
     def output_guarantee(self) -> Guarantee | None:
         frontier = self._guarantee_frontier()
@@ -435,10 +480,11 @@ class OperatorInstance:
     # -- internals
 
     def _restamp(self, row: TritemporalEvent) -> TritemporalEvent:
-        c_s = self._clock[0]
-        self._clock[0] += 1
-        return TritemporalEvent(row.k, row.id, row.v_s, row.v_e,
-                                row.o_s, row.o_e, c_s, INF, row.payload)
+        # A TritemporalEvent was validated when it was built, and the clock
+        # starts at a valid tick and counts up; any other object is checked.
+        make = TritemporalEvent._trusted if type(row) is TritemporalEvent else TritemporalEvent
+        return make(row.k, row.id, row.v_s, row.v_e, row.o_s, row.o_e, self._tick(), INF,
+                    row.payload)
 
     def _guarantee_frontier(self) -> Time:
         return min(p.threshold for p in self._ports)
@@ -480,7 +526,7 @@ class OperatorInstance:
                 del self._pending[key]
                 del self._tracked[key]
 
-    def _drain(self, frontier_moved: bool = False) -> list[TritemporalEvent]:
+    def _drain(self, frontier_moved: bool = False) -> list[tuple]:
         release = self._release_frontier()
         ready = [b for b in self._buffer if b.sync <= release]
         if ready:
@@ -652,8 +698,9 @@ class OperatorInstance:
             return ("p", e.id, e.v_s, e.v_e, e.o_s, e.rt, e.cbt, e.payload)
         return ("m", e.id, e.v_s, e.payload)
 
-    def _fresh_k(self, key: tuple) -> str:
-        digest = hashlib.md5(repr(key).encode()).hexdigest()[:10]
+    def _fresh_k(self, text: str) -> str:
+        """A new lineage key for the output whose stable key's repr is ``text``."""
+        digest = hashlib.md5(text.encode()).hexdigest()[:10]
         n = self._incarnations.get(digest, 0) + 1
         self._incarnations[digest] = n
         return f"{self.name}:{digest}#{n}"
@@ -661,28 +708,28 @@ class OperatorInstance:
     def _out_event_oe(self, e) -> Time:
         return e.o_e if self.module.pattern_mode else e.v_e
 
-    def _insert_row(self, k: str, e) -> TritemporalEvent:
-        c_s = self._next_out_stamp()
-        if self.module.pattern_mode:
-            return pattern_event_to_row(e, k, c_s)
-        return TritemporalEvent(k, e.id, e.v_s, INF, e.v_s, e.v_e, c_s, INF, e.payload)
+    def _anchor(self, e) -> Time:
+        return e.o_s if self.module.pattern_mode else e.v_s
 
-    def _shrink_row(self, tracked: _Tracked, new_o_e: Time) -> TritemporalEvent:
-        c_s = self._next_out_stamp()
-        e = tracked.event
-        if self.module.pattern_mode:
-            base = pattern_event_to_row(e, tracked.k, c_s)
-            return TritemporalEvent(tracked.k, base.id, base.v_s, base.v_e,
-                                    base.o_s, new_o_e, c_s, INF, base.payload)
-        return TritemporalEvent(tracked.k, e.id, e.v_s, INF,
-                                e.v_s, new_o_e, c_s, INF, e.payload)
+    def _out_row(self, k: str, e, o_e: Time) -> TritemporalEvent:
+        """The output row of ``e`` under lineage ``k``, its occurrence ending at ``o_e``.
 
-    def _next_out_stamp(self) -> Time:
+        Built unchecked: ``e`` is a valid output event and ``o_e`` is its
+        end (insert, shrink) or its anchor (kill), so the row is valid.
+        """
+        if self.module.pattern_mode:
+            return TritemporalEvent._trusted(k, e.id, e.v_s, e.v_e, e.o_s, o_e,
+                                             self._tick(), INF, e.payload)
+        return TritemporalEvent._trusted(k, e.id, e.v_s, INF, e.v_s, o_e,
+                                         self._tick(), INF, e.payload)
+
+    def _tick(self) -> Time:
+        """The next stamp of the shared arrival clock."""
         c_s = self._clock[0]
         self._clock[0] += 1
         return c_s
 
-    def _reconcile(self) -> list[TritemporalEvent]:
+    def _reconcile(self) -> list[tuple]:
         self.reconciles += 1
         self._refresh()
         bound = None
@@ -690,25 +737,28 @@ class OperatorInstance:
             frontier = self._guarantee_frontier()
             bound = frontier - self.module.lag if frontier != NEG else NEG
 
-        actions: list[tuple[Time, int, tuple, list]] = []
+        # (anchor, 0 for a tracked key or 1 for a held one, repr of the
+        # stable key, the key, its steps); the repr orders ties and names
+        # new lineages.
+        actions: list[tuple[Time, int, str, tuple, tuple]] = []
         pending, self._pending = self._pending, {}
         for key, now in pending.items():
             tracked = self._tracked[key]
             new_o_e = self._out_event_oe(now) if now is not None else None
             if now is not None and new_o_e == tracked.o_e:
                 continue
-            anchor = tracked.event.o_s if self.module.pattern_mode else tracked.event.v_s
+            anchor = self._anchor(tracked.event)
             if now is None:
-                actions.append((anchor, 0, key, [("kill", key, None)]))
+                actions.append((anchor, 0, repr(key), key, (("kill", None),)))
             elif new_o_e < tracked.o_e:
-                actions.append((new_o_e, 0, key, [("shrink", key, now)]))
+                actions.append((new_o_e, 0, repr(key), key, (("shrink", now),)))
             else:
-                actions.append((anchor, 0, key, [("kill", key, None),
-                                                 ("insert", key, now)]))
+                actions.append((anchor, 0, repr(key), key, (("kill", None),
+                                                            ("insert", now))))
         horizon = self._horizon()
         suppress_below = horizon - self.module.lag
         for key, e in self._held.items():
-            anchor = e.o_s if self.module.pattern_mode else e.v_s
+            anchor = self._anchor(e)
             if anchor < suppress_below:
                 # Forgotten past: results anchored behind the memory
                 # horizon are never (re)introduced.  The operator lag
@@ -716,40 +766,43 @@ class OperatorInstance:
                 # the inputs that produced them.
                 continue
             if bound is None or anchor <= bound:
-                actions.append((anchor, 1, key, [("insert", key, e)]))
+                actions.append((anchor, 1, repr(key), key, (("insert", e),)))
 
-        actions.sort(key=lambda a: (a[0], a[1], repr(a[2])))
-        emitted: list[TritemporalEvent] = []
-        for _, _, _, steps in actions:
-            for op, key, e in steps:
+        actions.sort(key=itemgetter(0, 1, 2))
+        emitted: list[tuple] = []
+        for _, _, text, key, steps in actions:
+            for op, e in steps:
                 if op == "insert":
                     self._held.pop(key, None)
-                    k = self._fresh_k(key)
-                    row = self._insert_row(k, e)
-                    self._tracked[key] = _Tracked(k, e, self._out_event_oe(e))
-                    self._log_out(row.o_s, row, e)
+                    k = self._fresh_k(text)
+                    o_e = self._out_event_oe(e)
+                    self._tracked[key] = _Tracked(k, e, o_e)
+                    row = self._out_row(k, e, o_e)
+                    emitted.append(self._log_out(row.o_s, row, e))
                 elif op == "shrink":
                     tracked = self._tracked[key]
-                    row = self._shrink_row(tracked, self._out_event_oe(e))
                     tracked.o_e = self._out_event_oe(e)
                     tracked.event = e
+                    row = self._out_row(tracked.k, e, tracked.o_e)
                     self.retraction_rows += 1
-                    self._log_out(row.o_e, row, e)
+                    emitted.append(self._log_out(row.o_e, row, e))
                 else:  # kill
                     tracked = self._tracked.pop(key)
-                    row = self._shrink_row(tracked, tracked.event.o_s
-                                           if self.module.pattern_mode
-                                           else tracked.event.v_s)
+                    e = tracked.event
+                    row = self._out_row(tracked.k, e, self._anchor(e))
                     self.retraction_rows += 1
-                    self._log_out(row.o_e, row, tracked.event)
-                emitted.append(row)
+                    emitted.append(self._log_out(row.o_e, row, e))
         return emitted
 
-    def _log_out(self, sync: Time, row: TritemporalEvent, e) -> None:
+    def _log_out(self, sync: Time, row: TritemporalEvent, e) -> tuple:
+        """Log one emitted row; returns it paired with its event for _wire."""
         self.output_rows += 1
-        self._out_log.append(AnnotatedRow(sync, row))
         if self.module.pattern_mode:
             self._store.setdefault(row.id, e)
+        else:
+            e = None  # a merged row is its own wire form
+        self._out_log.append((sync, row, e))
+        return row, e
 
     def _sample_state(self) -> None:
         held = sum(len(p.reduced) for p in self._ports) + len(self._buffer)
@@ -834,8 +887,12 @@ class Pipeline:
 
     def feed(self, stream: str, row: TritemporalEvent) -> list[TritemporalEvent]:
         released = []
-        for leaf in self._leaves.get(stream, []):
-            released.extend(self._push(leaf, 0, row))
+        leaves = self._leaves.get(stream, ())
+        if leaves:
+            # Decoded once for every leaf reading the stream.
+            event = pattern_event_from_row(row) if row.o_s < row.o_e else None
+            for leaf in leaves:
+                released.extend(self._push(leaf, 0, row, event))
         self.outputs.extend(released)
         return released
 
@@ -849,8 +906,7 @@ class Pipeline:
     def flush(self) -> list[TritemporalEvent]:
         released = []
         for node in self._nodes[::-1]:
-            rows = node.instance.flush()
-            released.extend(self._forward(node, rows))
+            released.extend(self._forward(node, node.instance._flush()))
         self.outputs.extend(released)
         return released
 
@@ -868,22 +924,25 @@ class Pipeline:
     def root_instance(self) -> OperatorInstance:
         return self._root.instance
 
-    def _push(self, node: _Node, port: int, row: TritemporalEvent) -> list[TritemporalEvent]:
-        rows = node.instance.ingest(row, port)
-        return self._forward(node, rows)
+    def _push(self, node: _Node, port: int, row: TritemporalEvent,
+              event: PatternEvent | None) -> list[TritemporalEvent]:
+        return self._forward(node, node.instance._take(row, port, event))
 
-    def _forward(self, node: _Node, rows: list[TritemporalEvent]) -> list[TritemporalEvent]:
+    def _forward(self, node: _Node, out: list[tuple]) -> list[TritemporalEvent]:
+        """Hand each (row, event) output to the parent, or release it in wire form."""
         if node.parent is None:
-            return [out for r in rows if (out := self._postprocess(r)) is not None]
+            return [released for row, e in out
+                    if (released := self._postprocess(_wire(row, e))) is not None]
+        parent, port = node.parent, node.parent_port
         released = []
-        for r in rows:
-            released.extend(self._push(node.parent, node.parent_port, r))
+        for row, e in out:
+            released.extend(self._push(parent, port, row, e))
         return released
 
     def _propagate_guarantee(self, node: _Node, port: int,
                              threshold: Time) -> list[TritemporalEvent]:
-        rows, out_g = node.instance.declare_guarantee(threshold, port)
-        released = self._forward(node, rows)
+        out, out_g = node.instance._declare(threshold, port)
+        released = self._forward(node, out)
         if node.parent is not None and out_g is not None:
             released.extend(self._propagate_guarantee(
                 node.parent, node.parent_port, out_g.threshold))
@@ -897,9 +956,9 @@ class Pipeline:
                     return None
             else:
                 keep = set(wrapper.attrs) | set(RESERVED_ATTRS)
-                payload = Payload([(n, v) for n, v in row.payload.items() if n in keep])
-                row = TritemporalEvent(row.k, row.id, row.v_s, row.v_e,
-                                       row.o_s, row.o_e, row.c_s, row.c_e, payload)
+                payload = Payload([(n, v) for n, v in row.payload.pairs if n in keep])
+                row = TritemporalEvent._trusted(row.k, row.id, row.v_s, row.v_e, row.o_s,
+                                                row.o_e, row.c_s, row.c_e, payload)
         return row
 
 

@@ -30,7 +30,7 @@ class LineFormatError(Exception):
 
 
 def payload_to_obj(p: Payload) -> dict:
-    return {name: value for name, value in p.items()}
+    return dict(p.pairs)
 
 
 def payload_from_obj(obj: object) -> Payload:

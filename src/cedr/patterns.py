@@ -84,6 +84,34 @@ class PatternEvent:
         return (self.v_s, self.v_e, self.o_s, self.o_e, self.id)
 
 
+def _unchecked_event():
+    set_id, set_vs, set_ve, set_os, set_oe, set_rt, set_cbt, set_payload = (
+        getattr(PatternEvent, f.name).__set__ for f in dataclass_fields(PatternEvent))
+    new = object.__new__
+
+    def trusted(id: str, v_s: Time, v_e: Time, o_s: Time, o_e: Time, rt: Time,
+                cbt: tuple[str, ...], payload: Payload) -> PatternEvent:
+        e = new(PatternEvent)
+        set_id(e, id)
+        set_vs(e, v_s)
+        set_ve(e, v_e)
+        set_os(e, o_s)
+        set_oe(e, o_e)
+        set_rt(e, rt)
+        set_cbt(e, cbt)
+        set_payload(e, payload)
+        return e
+
+    return trusted
+
+
+# The one unchecked constructor, as ``TritemporalEvent._trusted``: only for
+# events built from fields valid by construction (composites and
+# pass-throughs of valid contributors under a checked scope, and the
+# engine's decoding of valid rows).
+PatternEvent._trusted = staticmethod(_unchecked_event())
+
+
 def primitive(id: str, v_s: Time, v_e: Time, *, o_s: Time | None = None,
               o_e: Time = INF, payload: Payload | Mapping = EMPTY_PAYLOAD) -> PatternEvent:
     """A primitive event: root time is its own start, lineage is empty."""
@@ -115,26 +143,33 @@ def _sorted_streams(streams: Streams) -> list[list[PatternEvent]]:
     return [sorted(s, key=lambda e: e.sort_key) for s in streams]
 
 
+def _check_scope(w: Time) -> None:
+    """A scope is a positive tick count or INF, so ``v_s + w`` is a time."""
+    if w <= 0:
+        raise ValueError("scope must be positive")
+    if w != INF and not isinstance(w, int):
+        raise ValueError(f"scope must be a tick count or INF, got {w!r}")
+
+
+# Composites and pass-throughs are built unchecked: their contributors are
+# valid events and their scope passed _check_scope, so every field is a
+# time, v_s < v_e, o_s <= o_e and rt <= v_s.
+
 def _composite(ctx: Ctx, w: Time) -> PatternEvent | None:
     contribs = [e for _, e in ctx]
     first, last = contribs[0], contribs[-1]
     v_e = first.v_s + w
     if last.v_s >= v_e:
         return None  # zero-length validity at the exact scope boundary
-    return PatternEvent(
-        idgen([c.id for c in contribs]),
-        v_s=last.v_s, v_e=v_e,
-        o_s=last.o_s, o_e=last.o_e,
-        rt=min(c.rt for c in contribs),
-        cbt=tuple(c.id for c in contribs),
-        payload=concat_payloads(c.payload for c in contribs))
+    ids = tuple(c.id for c in contribs)
+    return PatternEvent._trusted(
+        idgen(ids), last.v_s, v_e, last.o_s, last.o_e, min(c.rt for c in contribs),
+        ids, concat_payloads(c.payload for c in contribs))
 
 
-def _pass_through(e: PatternEvent, w: Time) -> PatternEvent | None:
-    if w <= 0:
-        return None
-    return PatternEvent(e.id, v_s=e.v_s, v_e=e.v_s + w, o_s=e.o_s, o_e=e.o_e,
-                        rt=e.rt, cbt=(e.id,), payload=e.payload)
+def _pass_through(e: PatternEvent, w: Time) -> PatternEvent:
+    return PatternEvent._trusted(e.id, e.v_s, e.v_s + w, e.o_s, e.o_e, e.rt, (e.id,),
+                                 e.payload)
 
 
 def atleast(n: int, streams: Streams, w: Time, *,
@@ -143,8 +178,7 @@ def atleast(n: int, streams: Streams, w: Time, *,
     k = len(streams)
     if not 1 <= n <= k:
         raise ArityMismatch(f"atleast needs 1 <= n <= {k}, got {n}")
-    if w <= 0:
-        raise ValueError("scope must be positive")
+    _check_scope(w)
     ordered = _sorted_streams(streams)
     out = []
     for ctx in _choose(ordered, n, w):
@@ -178,8 +212,7 @@ def _sequence_denote(streams: Streams, w: Time,
                      accept: AcceptHook | None) -> list[tuple[Ctx, PatternEvent]]:
     if len(streams) < 2:
         raise ArityMismatch("sequence needs at least two streams")
-    if w <= 0:
-        raise ValueError("scope must be positive")
+    _check_scope(w)
     ordered = _sorted_streams(streams)
     out: list[tuple[Ctx, PatternEvent]] = []
 
@@ -226,8 +259,7 @@ def atmost(n: int, streams: Streams, w: Time, *,
     """
     if n < 0:
         raise ArityMismatch(f"atmost needs n >= 0, got {n}")
-    if w <= 0:
-        raise ValueError("scope must be positive")
+    _check_scope(w)
     pool = [(i, e) for i, s in enumerate(streams) for e in s]
     pool.sort(key=lambda p: p[1].sort_key)
     starts = [e.v_s for _, e in pool]
@@ -238,9 +270,7 @@ def atmost(n: int, streams: Streams, w: Time, *,
             ctx = ((i, e),)
             if accept is not None and not accept(ctx):
                 continue
-            comp = _pass_through(e, w)
-            if comp is not None:
-                out.append(comp)
+            out.append(_pass_through(e, w))
     return frozenset(out)
 
 
@@ -252,8 +282,7 @@ def unless(e1s: Iterable[PatternEvent], e2s: Iterable[PatternEvent], w: Time, *,
     The negation window is open on both ends: a blocker at exactly the
     anchor's start, or at exactly ``v_s + w``, does not block.
     """
-    if w <= 0:
-        raise ValueError("scope must be positive")
+    _check_scope(w)
     blockers = sorted(e2s, key=lambda e: e.sort_key)
     starts = [e.v_s for e in blockers]
     out = []
@@ -267,9 +296,7 @@ def unless(e1s: Iterable[PatternEvent], e2s: Iterable[PatternEvent], w: Time, *,
         if blocks is not None:
             hits = [b for b in hits if blocks(ctx, b)]
         if not hits:
-            comp = _pass_through(e1, w)
-            if comp is not None:
-                out.append(comp)
+            out.append(_pass_through(e1, w))
     return frozenset(out)
 
 

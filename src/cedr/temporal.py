@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Iterator, NamedTuple
 
 INF = float("inf")
@@ -72,7 +72,13 @@ def parse_time(value: object, name: str = "timestamp") -> Time:
 
 
 def _scalar_key(v: Scalar) -> tuple:
-    # bool before int: True is an int in Python but a distinct payload value.
+    # Exact types first; bool before int: True is an int in Python but a
+    # distinct payload value.
+    t = type(v)
+    if t is str:
+        return ("s", v)
+    if t is int:
+        return ("i", v)
     if isinstance(v, bool):
         return ("b", v)
     if isinstance(v, int):
@@ -90,23 +96,29 @@ class Payload(Mapping):
 
     Equality is field-by-field and deterministic: floats compare bitwise,
     so coalescing and set difference never depend on float formatting.
+    ``pairs`` holds the (name, value) pairs in insertion order; hot paths
+    iterate it rather than the slower ``items()`` view.
     """
 
-    __slots__ = ("_items", "_map", "_key", "_hash")
+    __slots__ = ("pairs", "_map", "_key", "_hash")
 
     def __init__(self, items: Mapping | Iterable[tuple[str, Scalar]] = ()):
-        pairs = tuple(items.items()) if isinstance(items, Mapping) else tuple(items)
+        if type(items) is dict or isinstance(items, Mapping):
+            pairs = tuple(items.items())
+        else:
+            pairs = tuple(items)
         seen: dict[str, Scalar] = {}
+        keys = []
         for name, value in pairs:
             if not isinstance(name, str):
                 raise TypeError(f"payload attribute names must be str, got {name!r}")
             if name in seen:
                 raise ValueError(f"duplicate payload attribute {name!r}")
-            _scalar_key(value)
+            keys.append((name, _scalar_key(value)))
             seen[name] = value
-        object.__setattr__(self, "_items", pairs)
+        key = frozenset(keys)
+        object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "_map", seen)
-        key = frozenset((n, _scalar_key(v)) for n, v in pairs)
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
 
@@ -117,10 +129,10 @@ class Payload(Mapping):
         return name in self._map
 
     def __iter__(self) -> Iterator[str]:
-        return iter(n for n, _ in self._items)
+        return iter(self._map)
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self.pairs)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Payload):
@@ -131,7 +143,7 @@ class Payload(Mapping):
         return self._hash
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{n}={v!r}" for n, v in self._items)
+        inner = ", ".join(f"{n}={v!r}" for n, v in self.pairs)
         return f"Payload({inner})"
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
@@ -162,7 +174,7 @@ def concat_payloads(parts: Iterable[Payload]) -> Payload:
     out: dict[str, Scalar] = {}
     counts: dict[str, int] = {}
     for p in parts:
-        for name, value in p.items():
+        for name, value in p.pairs:
             n = counts.get(name, 0) + 1
             unique = name if n == 1 else f"{name}#{n}"
             while unique in out:
@@ -210,6 +222,35 @@ class TritemporalEvent:
         """The row minus its arrival columns (and optionally its lineage key)."""
         head = (self.k,) if include_lineage else ()
         return head + (self.id, self.v_s, self.v_e, self.o_s, self.o_e, self.payload)
+
+
+def _unchecked_row():
+    set_k, set_id, set_vs, set_ve, set_os, set_oe, set_cs, set_ce, set_payload = (
+        getattr(TritemporalEvent, f.name).__set__ for f in fields(TritemporalEvent))
+    new = object.__new__
+
+    def trusted(k: str, id: str, v_s: Time, v_e: Time, o_s: Time, o_e: Time,
+                c_s: Time, c_e: Time, payload: Payload) -> TritemporalEvent:
+        row = new(TritemporalEvent)
+        set_k(row, k)
+        set_id(row, id)
+        set_vs(row, v_s)
+        set_ve(row, v_e)
+        set_os(row, o_s)
+        set_oe(row, o_e)
+        set_cs(row, c_s)
+        set_ce(row, c_e)
+        set_payload(row, payload)
+        return row
+
+    return trusted
+
+
+# The one unchecked constructor: it writes each slot as the generated
+# ``__init__`` does but skips ``__post_init__``.  Only for rows built from
+# fields that are valid by construction (the engine's rebuilds of rows and
+# events it already holds); input from outside uses the checking one.
+TritemporalEvent._trusted = staticmethod(_unchecked_row())
 
 
 class HistoryTable:

@@ -1286,3 +1286,33 @@ for node in pipe._nodes:
         leaf = [line.split()[2:] for line in outputs.pop().splitlines()
                 if line.startswith("leaf1 ")]
         assert leaf == [["5", "inf", "1"], ["5", "16", "5"]]
+
+
+class TestRemovalRows:
+    """A full-removal row may carry an empty valid interval.
+
+    ``TritemporalEvent`` allows it, so the engine must take such a row as
+    the retraction it is, without reading it as a pattern event.
+    """
+
+    INSERT = TritemporalEvent("K1", "a1", 1, 5, 1, INF, 0)
+    REMOVAL = TritemporalEvent("K1", "a1", 3, 3, 1, 1, 1)
+    MATCH = TritemporalEvent("L1", "b1", 3, 9, 3, INF, 2)
+
+    @pytest.mark.parametrize("level", [STRONG, MIDDLE, WEAK])
+    def test_removal_retracts_through_a_pipeline(self, level):
+        pipe = Pipeline(SequenceOp((Leaf("A", "x"), Leaf("B", "y")), 10), level)
+        pipe.feed("A", self.INSERT)
+        pipe.feed("B", self.MATCH)
+        pipe.feed("A", self.REMOVAL)
+        pipe.flush()
+        assert content_set(pipe.outputs) == frozenset()
+        # The removal leaves the lineage store with the live event.
+        assert pipe._store["a1"] == pattern_event_from_row(self.INSERT)
+
+    def test_removal_retracts_through_an_instance(self):
+        inst = OperatorInstance(build_module("sequence", k=2, w=10), MIDDLE)
+        out = inst.ingest(self.INSERT, 0) + inst.ingest(self.MATCH, 1)
+        assert len(content_set(out)) == 1
+        out += inst.ingest(self.REMOVAL, 0) + inst.flush()
+        assert content_set(out) == frozenset()
