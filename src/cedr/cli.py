@@ -63,21 +63,24 @@ def load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _apply_config(args: argparse.Namespace, parser_defaults: dict) -> None:
-    if not getattr(args, "config", None):
-        return
-    values = load_config(args.config)
-    for key, value in values.items():
+def _with_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                 argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed again with the config file's values as flags.
+
+    The values go in ahead of the command line's flags, so argparse checks
+    each against its option's type and choices, and a flag given on the
+    command line wins.  Keys that name no option of the command are
+    ignored; ``input`` holds comma-separated pairs and applies only when
+    the command line gives none.
+    """
+    flags = []
+    for key, value in load_config(args.config).items():
         if key == "input":
-            pairs = [v.strip() for v in value.split(",") if v.strip()]
-            if not getattr(args, "input", None):
-                args.input = pairs
-            continue
-        if not hasattr(args, key):
-            continue
-        # Flags given on the command line always win over the config file.
-        if getattr(args, key) == parser_defaults.get(key):
-            setattr(args, key, value)
+            if not args.input:
+                flags += [f"--input={v.strip()}" for v in value.split(",") if v.strip()]
+        elif key in vars(args) and key not in ("command", "func", "config"):
+            flags.append(f"--{key.replace('_', '-')}={value}")
+    return parser.parse_args([argv[0], *flags, *argv[1:]])
 
 
 def _read_stream(path: str):
@@ -279,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="blocking limit in ticks, or 'inf'")
     run.add_argument("--tick-unit", default="minute", choices=["minute", "second"],
                      dest="tick_unit")
-    run.add_argument("--seed", type=int, default=None)
     run.add_argument("--output", default=None)
     run.add_argument("--metrics", default=None)
     run.add_argument("--guarantee-every", type=int, default=0,
@@ -319,26 +321,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_DEFAULTS = {
-    "level": "middle", "memory": None, "block": None, "tick_unit": "minute",
-    "seed": None, "output": None, "metrics": None, "guarantee_every": 0,
-    "skew": 0, "retract_prob": 0.0, "t0": None, "mode": "to", "query": None,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, _CONFIG_DEFAULTS)
-        if hasattr(args, "seed") and isinstance(args.seed, str):
-            args.seed = int(args.seed)
-        if hasattr(args, "skew") and isinstance(args.skew, str):
-            args.skew = int(args.skew)
-        if hasattr(args, "retract_prob") and isinstance(args.retract_prob, str):
-            args.retract_prob = float(args.retract_prob)
-        if hasattr(args, "guarantee_every") and isinstance(args.guarantee_every, str):
-            args.guarantee_every = int(args.guarantee_every)
+        if getattr(args, "config", None):
+            args = _with_config(parser, args, argv)
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else DIAGNOSTICS

@@ -25,7 +25,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from . import algebra, patterns
 from .patterns import (
@@ -183,12 +183,14 @@ class OpModule:
     partition: tuple | None = None
 
 
-def _retire_dead(row: TritemporalEvent, horizon: Time, port: int) -> bool:
-    return row.o_e != INF and row.o_e < horizon
-
-
 def _retire_never(row: TritemporalEvent, horizon: Time, port: int) -> bool:
     return False
+
+
+def _retire_after(lag: Time) -> Callable[[TritemporalEvent, Time, int], bool]:
+    def retire(row: TritemporalEvent, horizon: Time, port: int) -> bool:
+        return row.o_e != INF and row.o_e + lag < horizon
+    return retire
 
 
 def _retire_pattern(w: Time, keep_ports: tuple[int, ...] = ()
@@ -200,64 +202,68 @@ def _retire_pattern(w: Time, keep_ports: tuple[int, ...] = ()
     return retire
 
 
+class MergedKind(NamedTuple):
+    """The facts that differ between merged (relational) operator kinds.
+
+    ``run`` is the kind's pure :mod:`algebra` operator on the module's ports
+    and build parameters.  ``required`` names the parameters a module cannot
+    be built without, and ``lag`` the parameter, if any, that holds how far
+    an output can trail the inputs that settle it.  ``coalescing`` marks
+    outputs that merge across input events.  A kind that ``keeps_history``
+    never forgets an input row; any other forgets a row once it ended more
+    than its lag before the horizon.
+    """
+
+    run: Callable[[tuple, dict], Iterable]
+    arity: int = 1
+    required: tuple[str, ...] = ()
+    lag: str | None = None
+    coalescing: bool = False
+    keeps_history: bool = False
+
+
+MERGED_KINDS = {
+    "project": MergedKind(lambda ports, p: algebra.project(ports[0], p["f"]),
+                          required=("f",)),
+    "select": MergedKind(lambda ports, p: algebra.select(ports[0], p["f"]),
+                         required=("f",)),
+    "join": MergedKind(lambda ports, p: algebra.join(ports[0], ports[1], p["theta"]),
+                       arity=2, required=("theta",)),
+    "union": MergedKind(lambda ports, p: algebra.union(ports[0], ports[1]),
+                        arity=2, coalescing=True, keeps_history=True),
+    "difference": MergedKind(lambda ports, p: algebra.difference(ports[0], ports[1]),
+                             arity=2, coalescing=True, keeps_history=True),
+    "groupby": MergedKind(lambda ports, p: algebra.groupby_aggregate(
+                              ports[0], tuple(p.get("key", ())), p.get("agg", "count"),
+                              p.get("target"), p.get("out")),
+                          coalescing=True, keeps_history=True),
+    "alter_lifetime": MergedKind(lambda ports, p: algebra.alter_lifetime(ports[0], p["fns"]),
+                                 required=("fns",), lag="lag", keeps_history=True),
+    "window": MergedKind(lambda ports, p: algebra.window(ports[0], p["wl"]),
+                         required=("wl",)),
+    "hopping_window": MergedKind(lambda ports, p: algebra.hopping_window(ports[0], p["p"]),
+                                 required=("p",), lag="p"),
+    "inserts": MergedKind(lambda ports, p: algebra.inserts(ports[0]), keeps_history=True),
+    "deletes": MergedKind(lambda ports, p: algebra.deletes(ports[0]), keeps_history=True),
+}
+
+
 def build_module(kind: str, **params) -> OpModule:
     """Construct an operational module for one algebra or pattern operator."""
-
-    def merged(fn, lag=0, coalescing=False, retire=_retire_dead, arity=1):
-        return OpModule(kind, arity, False, fn, lag, coalescing, retire)
-
-    if kind == "project":
-        f = params["f"]
-        return merged(lambda ports, store: algebra.project(ports[0], f))
-    if kind == "select":
-        f = params["f"]
-        return merged(lambda ports, store: algebra.select(ports[0], f))
-    if kind == "join":
-        theta = params["theta"]
-        return merged(lambda ports, store: algebra.join(ports[0], ports[1], theta),
-                      arity=2)
-    if kind == "union":
-        return merged(lambda ports, store: algebra.union(ports[0], ports[1]),
-                      coalescing=True, retire=_retire_never, arity=2)
-    if kind == "difference":
-        return merged(lambda ports, store: algebra.difference(ports[0], ports[1]),
-                      coalescing=True, retire=_retire_never, arity=2)
-    if kind == "groupby":
-        key = tuple(params.get("key", ()))
-        agg = params.get("agg", "count")
-        target = params.get("target")
-        out = params.get("out")
-        return merged(
-            lambda ports, store: algebra.groupby_aggregate(ports[0], key, agg, target, out),
-            coalescing=True, retire=_retire_never)
-    if kind == "alter_lifetime":
-        fns = params["fns"]
-        lag = params.get("lag", 0)
-        return merged(lambda ports, store: algebra.alter_lifetime(ports[0], fns),
-                      lag=lag, retire=_retire_never)
-    if kind == "window":
-        wl = params["wl"]
-        return merged(lambda ports, store: algebra.window(ports[0], wl))
-    if kind == "hopping_window":
-        p = params["p"]
-        return merged(lambda ports, store: algebra.hopping_window(ports[0], p),
-                      lag=p,
-                      retire=lambda row, horizon, port: row.o_e != INF
-                      and row.o_e + p < horizon)
-    if kind == "inserts":
-        return merged(lambda ports, store: algebra.inserts(ports[0]),
-                      retire=_retire_never)
-    if kind == "deletes":
-        return merged(lambda ports, store: algebra.deletes(ports[0]),
-                      retire=_retire_never)
-
+    merged = MERGED_KINDS.get(kind)
     # Every pattern kind is a plan-node kind; "filter" names a stream leaf.
     node = patterns.NODE_KINDS_BY_TAG.get("stream" if kind == "filter" else kind)
-    if node is None or node.wrapper:
+    if merged is None and (node is None or node.wrapper):
         raise ValueError(f"unknown operator kind {kind!r}")
-    missing = [name for name in node.required if name not in params]
+    missing = [name for name in (merged or node).required if name not in params]
     if missing:
         raise KeyError(f"operator kind {kind!r} needs {', '.join(missing)}")
+    if merged:
+        run = merged.run
+        lag = params.get(merged.lag, 0) if merged.lag else 0
+        return OpModule(kind, merged.arity, False, lambda ports, store: run(ports, params),
+                        lag, merged.coalescing,
+                        _retire_never if merged.keeps_history else _retire_after(lag))
     p = {"w": 1, "k": 2, **params}
     run, accept, blocks = node.run, p.get("accept"), p.get("blocks")
     arity = node.arity(p)
@@ -509,7 +515,7 @@ class OperatorInstance:
         horizon = self._horizon()
         if horizon == NEG:
             return
-        retire = self.module.retire or _retire_dead
+        retire = self.module.retire
         changed = False
         for port_i, p in enumerate(self._ports):
             stale = [k for k, row in p.reduced.items()

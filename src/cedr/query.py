@@ -21,29 +21,21 @@ never an exception.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 from .patterns import (
-    AllOp,
-    AnyOp,
-    AtLeastOp,
-    AtMostOp,
+    NODE_KINDS_BY_TAG,
     AttrRef,
-    CancelWhenOp,
     Leaf,
-    NotOp,
     Predicate,
     ProjectOp,
-    SequenceOp,
     SliceOp,
     UnboundVariable,
-    UnlessOp,
     all_vars,
     inject_predicates,
 )
 from .temporal import INF, Scalar, Time
 
-OPERATOR_NAMES = ("SEQUENCE", "UNLESS", "NOT", "CANCEL-WHEN",
-                  "ALL", "ANY", "ATLEAST", "ATMOST")
 KEYWORDS = ("EVENT", "WHEN", "WHERE", "OUTPUT", "AS", "AND")
 UNITS = {"hour": "hour", "hours": "hour", "minute": "minute",
          "minutes": "minute", "tick": "tick", "ticks": "tick"}
@@ -137,17 +129,68 @@ class CancelWhenExpr:
     blocker: object
 
 
+class _Operator:
+    """The facts about one query operator that its AST fields do not show.
+
+    ``classes`` are its AST classes; an operator with several forms takes
+    the one with as many fields as it has arguments.  ``arity`` is the
+    message for a wrong argument count, and ``least`` the fewest arguments
+    a variadic form accepts (0 for a fixed form).  ``count_in_range`` makes
+    the count ``n`` lie in ``1..k``.  ``plan`` is the plan-node class the
+    operator lowers to, the kind tagged with its lower-case name.
+
+    Everything else follows from the fields of each class, by role and in
+    declaration order: ``children`` takes every argument the other fields
+    leave, ``body``, ``blocker`` and ``seq`` one event expression each
+    (``seq`` a SEQUENCE), ``scope`` a duration and ``n`` a plain count.
+    The parser checks, the printer prints and the compiler lowers the
+    fields in that order.
+    """
+
+    def __init__(self, name: str, classes: tuple[type, ...], arity: str, *,
+                 least: int = 0, count_in_range: bool = False):
+        self.name, self.classes, self.arity = name, classes, arity
+        self.least, self.count_in_range = least, count_in_range
+        self.plan = NODE_KINDS_BY_TAG[name.lower().replace("-", "_")].cls
+
+
+_OPERATORS = {op.name: op for op in (
+    _Operator("SEQUENCE", (SequenceExpr,),
+              "SEQUENCE needs at least two operands and a scope", least=3),
+    _Operator("UNLESS", (UnlessExpr, UnlessPrimeExpr),
+              "UNLESS takes (body, blocker, scope) or (body, blocker, n, scope)"),
+    _Operator("NOT", (NotExpr,), "NOT takes (event, SEQUENCE(...))"),
+    _Operator("CANCEL-WHEN", (CancelWhenExpr,), "CANCEL-WHEN takes (body, canceller)"),
+    _Operator("ALL", (AllExpr,), "ALL needs operands and a scope", least=2),
+    _Operator("ANY", (AnyExpr,), "ANY needs at least one operand", least=1),
+    _Operator("ATLEAST", (AtLeastExpr,), "ATLEAST needs a count, operands, and a scope",
+              least=3, count_in_range=True),
+    _Operator("ATMOST", (AtMostExpr,), "ATMOST needs a count, operands, and a scope",
+              least=3),
+)}
+OPERATOR_NAMES = tuple(_OPERATORS)
+_OPERATOR_OF = {cls: op for op in _OPERATORS.values() for cls in op.classes}
+_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _OPERATOR_OF}
+
+
+def _operator_of(node) -> _Operator:
+    try:
+        return _OPERATOR_OF[type(node)]
+    except KeyError:
+        raise TypeError(f"not an expression node: {node!r}") from None
+
+
 def _bindings(node):
     """Every binding under an expression, in source order."""
     if isinstance(node, Binding):
         yield node
         return
-    for attr in ("body", "blocker", "seq"):
-        child = getattr(node, attr, None)
-        if child is not None:
-            yield from _bindings(child)
-    for child in getattr(node, "children", ()):
-        yield from _bindings(child)
+    for name in _FIELDS[type(node)]:
+        if name == "children":
+            for child in node.children:
+                yield from _bindings(child)
+        elif name in ("body", "blocker", "seq"):
+            yield from _bindings(getattr(node, name))
 
 
 @dataclass(frozen=True)
@@ -214,8 +257,7 @@ class CompileResult:
 
 # --- lexer -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -230,37 +272,33 @@ _TOKEN_RE = re.compile(r"""
   | (?P<badstring>'[^'\n]*)
   | (?P<op><=|>=|!=|<>|=|<|>)
   | (?P<punct>[(){}\[\],.@\#])
-""", re.VERBOSE)
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 
 def _lex(source: str) -> tuple[list[_Token], list[Diagnostic]]:
     tokens: list[_Token] = []
     diagnostics: list[Diagnostic] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            ch = source[pos]
-            diagnostics.append(Diagnostic("error", line, col, 1,
-                                          f"unexpected character {ch!r}"))
-            pos += 1
-            col += 1
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(source):
+        kind, text = m.lastgroup, m.group()
+        if kind == "ws":
+            # Only whitespace spans lines.
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = m.start() + text.rfind("\n") + 1
             continue
-        text = m.group(0)
-        kind = m.lastgroup
-        if kind == "badstring":
+        col = m.start() - line_start + 1
+        if kind == "bad":
+            diagnostics.append(Diagnostic("error", line, col, 1,
+                                          f"unexpected character {text!r}"))
+        elif kind == "badstring":
             diagnostics.append(Diagnostic("error", line, col, len(text),
                                           "unterminated string literal"))
-        elif kind != "ws":
-            tokens.append(_Token(kind, text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
         else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+            tokens.append(_Token(kind, text, line, col))
+    tokens.append(_Token("eof", "", line, len(source) - line_start + 1))
     return tokens, diagnostics
 
 
@@ -370,7 +408,6 @@ class _Parser:
 
     def opcall(self):
         op_tok = self.advance()
-        op = op_tok.text.upper()
         self.expect("punct", "(", "'('")
         args: list = []
         arg_tokens: list[_Token] = []
@@ -383,7 +420,7 @@ class _Parser:
                     continue
                 break
         self.expect("punct", ")", "')'")
-        return self.shape(op, op_tok, args, arg_tokens)
+        return self.shape(op_tok, args, arg_tokens)
 
     def argument(self):
         tok = self.peek()
@@ -396,78 +433,45 @@ class _Parser:
             return Duration(int(tok.text), "tick")
         return self.expr()
 
-    def shape(self, op: str, op_tok: _Token, args: list, arg_tokens: list):
-        def need_scope(arg, tok) -> Duration:
+    def shape(self, op_tok: _Token, args: list, arg_tokens: list):
+        op = _OPERATORS[op_tok.text.upper()]
+        cls = next((c for c in op.classes if (len(args) >= op.least if op.least
+                                              else len(args) == len(_FIELDS[c]))), None)
+        if cls is None:
+            self.error(op_tok, op.arity)
+        names = _FIELDS[cls]
+        values, at = [], 0
+        for name in names:
+            # ``children`` takes the arguments the other fields leave.
+            width = len(args) - len(names) + 1 if name == "children" else 1
+            values.append(self.field_value(op.name, name, args[at:at + width],
+                                     arg_tokens[at:at + width]))
+            at += width
+        node = cls(*values)
+        if op.count_in_range and not 1 <= node.n <= len(node.children):
+            self.error(op_tok, f"{op.name} count {node.n} outside 1..{len(node.children)}")
+        return node
+
+    def field_value(self, op: str, role: str, args: list, toks: list):
+        """The value of one AST field from its arguments, checked by role."""
+        if role in ("children", "body", "blocker"):
+            for arg, tok in zip(args, toks):
+                if isinstance(arg, Duration):
+                    self.error(tok, f"{op} expected an event expression here")
+            return tuple(args) if role == "children" else args[0]
+        arg, tok = args[0], toks[0]
+        if role == "scope":
             if not isinstance(arg, Duration):
                 self.error(tok, f"{op} requires a scope as its last argument")
             if arg.value <= 0:
                 self.error(tok, f"{op} scope must be positive")
-            return arg
-
-        def need_count(arg, tok) -> int:
+        elif role == "n":
             if not isinstance(arg, Duration) or arg.unit != "tick":
                 self.error(tok, f"{op} requires a plain count here")
             return arg.value
-
-        def need_exprs(sub, toks):
-            for a, t in zip(sub, toks):
-                if isinstance(a, Duration):
-                    self.error(t, f"{op} expected an event expression here")
-            return tuple(sub)
-
-        if op == "SEQUENCE":
-            if len(args) < 3:
-                self.error(op_tok, "SEQUENCE needs at least two operands and a scope")
-            return SequenceExpr(need_exprs(args[:-1], arg_tokens[:-1]),
-                                need_scope(args[-1], arg_tokens[-1]))
-        if op == "ATLEAST":
-            if len(args) < 3:
-                self.error(op_tok, "ATLEAST needs a count, operands, and a scope")
-            n = need_count(args[0], arg_tokens[0])
-            children = need_exprs(args[1:-1], arg_tokens[1:-1])
-            scope = need_scope(args[-1], arg_tokens[-1])
-            if not 1 <= n <= len(children):
-                self.error(op_tok, f"ATLEAST count {n} outside 1..{len(children)}")
-            return AtLeastExpr(n, children, scope)
-        if op == "ATMOST":
-            if len(args) < 3:
-                self.error(op_tok, "ATMOST needs a count, operands, and a scope")
-            n = need_count(args[0], arg_tokens[0])
-            children = need_exprs(args[1:-1], arg_tokens[1:-1])
-            return AtMostExpr(n, children, need_scope(args[-1], arg_tokens[-1]))
-        if op == "ALL":
-            if len(args) < 2:
-                self.error(op_tok, "ALL needs operands and a scope")
-            return AllExpr(need_exprs(args[:-1], arg_tokens[:-1]),
-                           need_scope(args[-1], arg_tokens[-1]))
-        if op == "ANY":
-            if not args:
-                self.error(op_tok, "ANY needs at least one operand")
-            return AnyExpr(need_exprs(args, arg_tokens))
-        if op == "UNLESS":
-            if len(args) == 3:
-                body, blocker = need_exprs(args[:2], arg_tokens[:2])
-                return UnlessExpr(body, blocker, need_scope(args[2], arg_tokens[2]))
-            if len(args) == 4:
-                body, blocker = need_exprs(args[:2], arg_tokens[:2])
-                n = need_count(args[2], arg_tokens[2])
-                return UnlessPrimeExpr(body, blocker, n,
-                                       need_scope(args[3], arg_tokens[3]))
-            self.error(op_tok, "UNLESS takes (body, blocker, scope) or "
-                               "(body, blocker, n, scope)")
-        if op == "NOT":
-            if len(args) != 2:
-                self.error(op_tok, "NOT takes (event, SEQUENCE(...))")
-            blocker = need_exprs(args[:1], arg_tokens[:1])[0]
-            if not isinstance(args[1], SequenceExpr):
-                self.error(arg_tokens[1], "the scope of NOT must be a SEQUENCE")
-            return NotExpr(blocker, args[1])
-        if op == "CANCEL-WHEN":
-            if len(args) != 2:
-                self.error(op_tok, "CANCEL-WHEN takes (body, canceller)")
-            body, blocker = need_exprs(args, arg_tokens)
-            return CancelWhenExpr(body, blocker)
-        self.error(op_tok, f"unknown operator {op_tok.text}")
+        elif not isinstance(arg, SequenceExpr):  # seq
+            self.error(tok, f"the scope of {op} must be a SEQUENCE")
+        return arg
 
     def predconj(self) -> tuple:
         items = [self.predterm()]
@@ -595,31 +599,14 @@ def _fmt_duration(d: Duration) -> str:
 def _fmt_expr(node) -> str:
     if isinstance(node, Binding):
         return f"{node.type_name} AS {node.var}" if node.var else node.type_name
-    if isinstance(node, SequenceExpr):
-        inner = ", ".join(_fmt_expr(c) for c in node.children)
-        return f"SEQUENCE({inner}, {_fmt_duration(node.scope)})"
-    if isinstance(node, AtLeastExpr):
-        inner = ", ".join(_fmt_expr(c) for c in node.children)
-        return f"ATLEAST({node.n}, {inner}, {_fmt_duration(node.scope)})"
-    if isinstance(node, AtMostExpr):
-        inner = ", ".join(_fmt_expr(c) for c in node.children)
-        return f"ATMOST({node.n}, {inner}, {_fmt_duration(node.scope)})"
-    if isinstance(node, AllExpr):
-        inner = ", ".join(_fmt_expr(c) for c in node.children)
-        return f"ALL({inner}, {_fmt_duration(node.scope)})"
-    if isinstance(node, AnyExpr):
-        return f"ANY({', '.join(_fmt_expr(c) for c in node.children)})"
-    if isinstance(node, UnlessExpr):
-        return (f"UNLESS({_fmt_expr(node.body)}, {_fmt_expr(node.blocker)}, "
-                f"{_fmt_duration(node.scope)})")
-    if isinstance(node, UnlessPrimeExpr):
-        return (f"UNLESS({_fmt_expr(node.body)}, {_fmt_expr(node.blocker)}, "
-                f"{node.n}, {_fmt_duration(node.scope)})")
-    if isinstance(node, NotExpr):
-        return f"NOT({_fmt_expr(node.blocker)}, {_fmt_expr(node.seq)})"
-    if isinstance(node, CancelWhenExpr):
-        return f"CANCEL-WHEN({_fmt_expr(node.body)}, {_fmt_expr(node.blocker)})"
-    raise TypeError(f"not an expression node: {node!r}")
+    op = _operator_of(node)
+    parts = (_FMT_FIELD.get(name, _fmt_expr)(getattr(node, name))
+             for name in _FIELDS[type(node)])
+    return f"{op.name}({', '.join(parts)})"
+
+
+_FMT_FIELD = {"children": lambda children: ", ".join(map(_fmt_expr, children)),
+              "scope": _fmt_duration, "n": str}
 
 
 def _fmt_literal(value: Scalar) -> str:
@@ -680,34 +667,25 @@ def compile_query(ast: QueryAst, ticks_per_minute: int = 1) -> CompileResult:
     def lower(node):
         if isinstance(node, Binding):
             return Leaf(node.type_name, node.var)
-        if isinstance(node, SequenceExpr):
-            return SequenceOp(tuple(lower(c) for c in node.children),
-                              _ticks(node.scope, ticks_per_minute))
-        if isinstance(node, AtLeastExpr):
-            return AtLeastOp(node.n, tuple(lower(c) for c in node.children),
-                             _ticks(node.scope, ticks_per_minute))
-        if isinstance(node, AtMostExpr):
-            return AtMostOp(node.n, tuple(lower(c) for c in node.children),
-                            _ticks(node.scope, ticks_per_minute))
-        if isinstance(node, AllExpr):
-            return AllOp(tuple(lower(c) for c in node.children),
-                         _ticks(node.scope, ticks_per_minute))
-        if isinstance(node, AnyExpr):
-            return AnyOp(tuple(lower(c) for c in node.children))
-        if isinstance(node, UnlessExpr):
-            return UnlessOp(lower(node.body), lower(node.blocker),
-                            _ticks(node.scope, ticks_per_minute))
         if isinstance(node, UnlessPrimeExpr):
             fail("the start-anchored UNLESS variant is parsed but unsupported",
                  "drop the contributor index argument")
-        if isinstance(node, NotExpr):
-            seq = node.seq
-            return NotOp(lower(node.blocker),
-                         tuple(lower(c) for c in seq.children),
-                         _ticks(seq.scope, ticks_per_minute))
-        if isinstance(node, CancelWhenExpr):
-            return CancelWhenOp(lower(node.body), lower(node.blocker))
-        raise TypeError(f"not an expression node: {node!r}")
+        op = _operator_of(node)
+        plan: dict = {}
+        for name in _FIELDS[type(node)]:
+            value = getattr(node, name)
+            if name == "children":
+                plan[name] = tuple(map(lower, value))
+            elif name == "scope":
+                plan[name] = _ticks(value, ticks_per_minute)
+            elif name == "n":
+                plan[name] = value
+            elif name == "seq":
+                seq = lower(value)
+                plan.update(children=seq.children, scope=seq.scope)
+            else:
+                plan["child" if name == "body" else name] = lower(value)
+        return op.plan(**plan)
 
     try:
         plan = lower(ast.when)

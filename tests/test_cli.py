@@ -122,6 +122,28 @@ class TestRun:
         assert main(["run", "--query", str(query_file), "--config", str(cfg)]) == 0
         assert len(loads_events(out.read_text())) == 1
 
+    @pytest.mark.parametrize("line", ["tick_unit = hour", "level = loud",
+                                      "guarantee_every = often"])
+    def test_bad_config_value_is_a_usage_error(self, tmp_path, query_file, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["run", "--query", str(query_file), "--config", str(cfg)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_command_line_wins_over_config(self, tmp_path, query_file):
+        write_stream(tmp_path / "install.jsonl", [machine_event("i1", 10)])
+        write_stream(tmp_path / "shutdown.jsonl", [machine_event("s1", 100)])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"output = {tmp_path / 'config.jsonl'}\nguarantee_every = 1\n"
+                       f"input = INSTALL={tmp_path / 'install.jsonl'}\n")
+        out = tmp_path / "flag.jsonl"
+        assert main(["run", "--query", str(query_file), "--config", str(cfg),
+                     "--output", str(out),
+                     "--input", f"INSTALL={tmp_path / 'install.jsonl'}",
+                     "--input", f"SHUTDOWN={tmp_path / 'shutdown.jsonl'}"]) == 0
+        assert len(loads_events(out.read_text())) == 1
+        assert not (tmp_path / "config.jsonl").exists()
+
 
 class TestGuaranteeEvery:
     @staticmethod

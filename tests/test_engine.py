@@ -100,6 +100,67 @@ class TestBuildModule:
             build_module(kind, k=2, w=5)
 
 
+# Written from the per-kind module builders that the merged-kind table
+# replaced: (arity, lag, coalescing, keeps all history, required parameters).
+MERGED_MODULE_FACTS = {
+    "project": (1, 0, False, False, ("f",)),
+    "select": (1, 0, False, False, ("f",)),
+    "join": (2, 0, False, False, ("theta",)),
+    "union": (2, 0, True, True, ()),
+    "difference": (2, 0, True, True, ()),
+    "groupby": (1, 0, True, True, ()),
+    "alter_lifetime": (1, 0, False, True, ("fns",)),
+    "window": (1, 0, False, False, ("wl",)),
+    "hopping_window": (1, 5, False, False, ("p",)),
+    "inserts": (1, 0, False, True, ()),
+    "deletes": (1, 0, False, True, ()),
+}
+
+
+class TestMergedModulePins:
+    def test_every_merged_kind_pinned(self):
+        assert set(MERGED_MODULE_FACTS) == set(MERGED_PARAMS)
+
+    @pytest.mark.parametrize("kind", sorted(MERGED_MODULE_FACTS))
+    def test_module_facts(self, kind):
+        arity, lag, coalescing, _, _ = MERGED_MODULE_FACTS[kind]
+        module = module_under_test(kind)
+        assert (module.name, module.arity, module.lag, module.coalescing,
+                module.pattern_mode, module.partition) == (
+            kind, arity, lag, coalescing, False, None)
+
+    @pytest.mark.parametrize("kind", sorted(MERGED_MODULE_FACTS))
+    def test_retire_decisions(self, kind):
+        arity, lag, _, keeps_history, _ = MERGED_MODULE_FACTS[kind]
+        retire = module_under_test(kind).retire
+        for horizon in (20, 57):
+            edge = horizon - lag
+            # o_e below, at and above horizon - lag, then an open lifetime.
+            for o_e, forgotten in ((edge - 3, True), (edge - 1, True), (edge, False),
+                                   (edge + 1, False), (INF, False)):
+                r = row("k", "e", 0, INF, 0, o_e, 0)
+                for port in range(arity):
+                    assert retire(r, horizon, port) is (forgotten and not keeps_history), \
+                        (kind, horizon, o_e, port)
+
+    def test_alter_lifetime_lag_is_its_parameter(self):
+        from cedr.algebra import LifetimeFunctions
+        fns = LifetimeFunctions(lambda e: e.v_s, lambda e: 1)
+        module = build_module("alter_lifetime", fns=fns, lag=7)
+        assert module.lag == 7
+        assert not module.retire(row("k", "e", 0, INF, 0, 1, 0), 50, 0)
+
+    @pytest.mark.parametrize("kind", sorted(MERGED_MODULE_FACTS))
+    def test_required_parameters(self, kind):
+        required = MERGED_MODULE_FACTS[kind][4]
+        params = MERGED_PARAMS[kind]
+        if not required:
+            build_module(kind)
+        for name in required:
+            with pytest.raises(KeyError, match=name):
+                build_module(kind, **{k: v for k, v in params.items() if k != name})
+
+
 class TestStrongMatchesOrderedRun:
     @pytest.mark.parametrize("kind", ["select", "sequence"])
     def test_disorder_is_invisible(self, kind):

@@ -1,4 +1,8 @@
+import hashlib
+import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -220,3 +224,141 @@ class TestTotalityAndDeterminism:
         ast = parse("EVENT e WHEN SEQUENCE(A, B, 2 hours)").ast
         assert compile_query(ast, ticks_per_minute=1).plan.scope == 120
         assert compile_query(ast, ticks_per_minute=60).plan.scope == 7200
+
+
+# --- pins on the front end's observable output -------------------------------
+#
+# Written from the output of the per-operator parser, printer and compiler
+# that the field-role tables replaced; any difference is a regression.
+
+GOLDEN = json.loads((Path(__file__).parent / "query_golden.json").read_text("utf-8"))
+
+
+class TestFrontEndPins:
+    @pytest.mark.parametrize("case", GOLDEN["diagnostics"], ids=lambda c: c["source"])
+    def test_diagnostic_spans(self, case):
+        result = parse(case["source"])
+        assert not result.ok
+        got = [[d.line, d.col, d.length, d.message] for d in result.diagnostics]
+        assert got == case["expect"]
+
+    @pytest.mark.parametrize("case", GOLDEN["asts"], ids=lambda c: c["source"])
+    def test_ast_and_text(self, case):
+        ast = parse(case["source"]).ast
+        assert ast_to_obj(ast) == case["ast"]
+        assert format_query(ast) == case["text"]
+
+    def test_every_ast_class_pinned(self):
+        assert _expr_classes(json.dumps(GOLDEN["asts"])) == EXPR_CLASSES
+
+
+EXPR_CLASSES = {"SequenceExpr", "AtLeastExpr", "AtMostExpr", "AllExpr", "AnyExpr",
+                "UnlessExpr", "UnlessPrimeExpr", "NotExpr", "CancelWhenExpr"}
+
+
+def _expr_classes(dump: str) -> set[str]:
+    return set(re.findall(r'"node": "(\w+Expr)"', dump))
+
+
+def generated_query(rng: random.Random, index: int) -> str:
+    """One well-formed query over all eight operators, nested, with WHERE."""
+    fresh = iter(range(1000))
+    bound: list[str] = []
+
+    def binding():
+        stream = rng.choice("ABCD")
+        form = rng.randrange(3)
+        if form == 0:
+            return stream
+        var = f"v{next(fresh)}"
+        bound.append(var)
+        return f"{stream} AS {var}" if form == 1 else f"{stream} {var}"
+
+    def scope():
+        unit = rng.choice(["", " tick", " ticks", " minute", " minutes", " hour", " hours"])
+        return f"{rng.randint(1, 40)}{unit}"
+
+    def name(op):
+        return rng.choice([op, op.lower(), op.title()])
+
+    def exprs(count, depth):
+        return ", ".join(expr(depth) for _ in range(count))
+
+    def expr(depth):
+        if depth == 0 or rng.random() < 0.35:
+            return binding()
+        k, d = rng.randint(1, 3), depth - 1
+        kind = rng.randrange(9)
+        if kind == 0:
+            return f"{name('SEQUENCE')}({exprs(k + 1, d)}, {scope()})"
+        if kind == 1:
+            return f"{name('ATLEAST')}({rng.randint(1, k)}, {exprs(k, d)}, {scope()})"
+        if kind == 2:
+            return f"{name('ATMOST')}({rng.randint(0, k)}, {exprs(k, d)}, {scope()})"
+        if kind == 3:
+            return f"{name('ALL')}({exprs(k, d)}, {scope()})"
+        if kind == 4:
+            return f"{name('ANY')}({exprs(k, d)})"
+        if kind == 5:
+            return f"{name('UNLESS')}({exprs(2, d)}, {scope()})"
+        if kind == 6:
+            return f"{name('UNLESS')}({exprs(2, d)}, {rng.randint(0, 3)}, {scope()})"
+        if kind == 7:
+            return (f"{name('NOT')}({expr(d)}, "
+                    f"{name('SEQUENCE')}({exprs(k + 1, d)}, {scope()}))")
+        return f"{name('CANCEL-WHEN')}({exprs(2, d)})"
+
+    text = [f"EVENT q{index}", f"WHEN {expr(3)}"]
+    terms = []
+    for _ in range(rng.randint(0, 3)):
+        shape = rng.randrange(4)
+        if shape == 0 and bound:
+            op = rng.choice(["=", "!=", "<>", "<", "<=", ">", ">="])
+            rhs = rng.choice([f"{rng.choice(bound)}.a", "3", "'m'"])
+            terms.append(f"{{{rng.choice(bound)}.a {op} {rhs}}}")
+        elif shape == 1:
+            terms.append(f"CorrelationKey(a, {rng.choice(['EQUAL', 'UNIQUE'])})")
+        elif shape == 2:
+            value = rng.choice(["1", "'q'"])
+            terms.append(f"[b Equal {value}]")
+    if terms:
+        text.append("WHERE " + " AND ".join(terms))
+    if rng.random() < 0.2:
+        text.append("OUTPUT a, b")
+    if rng.random() < 0.2:
+        text.append(rng.choice(["@ [0, 9]", "# [1, inf]", "@ [2, 30] # [0, 40]"]))
+    return rng.choice([" ", "\n"]).join(text)
+
+
+def _compiled(ast) -> str:
+    result = compile_query(ast, 1)
+    if result.ok:
+        return plan_dumps(result.plan)
+    return "\n".join(d.render() for d in result.diagnostics)
+
+
+class TestGeneratedQueries:
+    # sha256 of every generated query's printed text, AST dump, leaf streams
+    # and compiled plan (or compile diagnostics), in generation order.
+    DIGEST = "bfef01cc2e68674e790d1adb8a9c21b7eabfcd92d13a2fd4213f2041b772b33f"
+
+    def test_round_trip_and_stable_plans(self):
+        rng = random.Random("front-end-pin")
+        digest = hashlib.sha256()
+        operators = set()
+        for i in range(500):
+            src = generated_query(rng, i)
+            first = parse(src)
+            assert first.ok, (src, [d.render() for d in first.diagnostics])
+            text = format_query(first.ast)
+            second = parse(text)
+            assert second.ok and second.ast == first.ast, (src, text)
+            assert format_query(second.ast) == text
+            plan = _compiled(first.ast)
+            assert _compiled(second.ast) == plan
+            dump = json.dumps(ast_to_obj(first.ast), sort_keys=True)
+            operators |= _expr_classes(dump)
+            for part in (text, dump, " ".join(leaf_streams(first.ast)), plan):
+                digest.update(part.encode("utf-8") + b"\0")
+        assert operators == EXPR_CLASSES
+        assert digest.hexdigest() == self.DIGEST
