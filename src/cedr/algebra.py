@@ -22,8 +22,8 @@ from .temporal import (
     Time,
     UnitemporalEvent,
     _scalar_key,
-    coalesce_star,
     concat_payloads,
+    maximal_spans,
 )
 
 PayloadFn = Callable[[Payload], Payload]
@@ -86,32 +86,11 @@ def join(s1: Events, s2: Events, theta: ThetaFn) -> frozenset[UnitemporalEvent]:
     return frozenset(out)
 
 
-def _spans_by_payload(s: Events) -> dict[Payload, list[tuple[Time, Time]]]:
-    spans: dict[Payload, list[tuple[Time, Time]]] = {}
-    for e in s:
-        spans.setdefault(e.payload, []).append((e.v_s, e.v_e))
-    for ivs in spans.values():
-        ivs.sort()
-    return spans
-
-
-def _merge(ivs: list[tuple[Time, Time]]) -> list[tuple[Time, Time]]:
-    # Merge overlapping or meeting intervals of one payload.
-    merged: list[tuple[Time, Time]] = []
-    for s, e in ivs:
-        if merged and s <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], e))
-        else:
-            merged.append((s, e))
-    return merged
-
-
-def _subtract(base: list[tuple[Time, Time]],
-              holes: list[tuple[Time, Time]]) -> list[tuple[Time, Time]]:
+def _subtract(base: list[list], holes: list[list]) -> list[tuple[Time, Time]]:
     out = []
-    for s, e in base:
+    for s, e, _ in base:
         cur = s
-        for hs, he in holes:
+        for hs, he, _ in holes:
             if he <= cur or hs >= e:
                 continue
             if hs > cur:
@@ -126,29 +105,33 @@ def _subtract(base: list[tuple[Time, Time]],
 
 def union(s1: Events, s2: Events) -> frozenset[UnitemporalEvent]:
     """Snapshot union: a payload is present whenever either input holds it."""
-    spans = _spans_by_payload(list(s1) + list(s2))
     return frozenset(
         UnitemporalEvent(s, e, payload)
-        for payload, ivs in spans.items()
-        for s, e in _merge(ivs))
+        for payload, runs in maximal_spans([*s1, *s2]).items()
+        for s, e, _ in runs)
 
 
 def difference(s1: Events, s2: Events) -> frozenset[UnitemporalEvent]:
     """Snapshot difference: present in the first input and not the second."""
-    left = _spans_by_payload(s1)
-    right = _spans_by_payload(s2)
-    out = []
-    for payload, ivs in left.items():
-        holes = _merge(right.get(payload, []))
-        for s, e in _subtract(_merge(ivs), holes):
-            out.append(UnitemporalEvent(s, e, payload))
-    return frozenset(out)
+    right = maximal_spans(s2)
+    return frozenset(
+        UnitemporalEvent(s, e, payload)
+        for payload, runs in maximal_spans(s1).items()
+        for s, e in _subtract(runs, right.get(payload, [])))
 
 
 def _require_number(value: Scalar) -> int | float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeMismatch(f"aggregate target must be numeric, got {value!r}")
     return value
+
+
+_FOLDS: dict[str, Callable[[list], Scalar]] = {
+    "sum": sum,
+    "avg": lambda values: sum(values) / len(values),
+    "max": max,
+    "min": min,
+}
 
 
 def groupby_aggregate(s: Events, key: Sequence[str] = (), agg: str = "count",
@@ -162,6 +145,10 @@ def groupby_aggregate(s: Events, key: Sequence[str] = (), agg: str = "count",
     nothing.  ``target`` names the aggregated attribute (unused for count);
     ``out`` names the result attribute and defaults to ``target`` or the
     aggregate name.
+
+    Each group is one sweep over its own change points; a row stays open
+    while the value is unchanged.  A value is folded from the alive members
+    in input order: ``max([1, 1.0])`` and a float sum depend on the order.
     """
     agg = agg.lower()
     if agg not in AGGREGATES:
@@ -169,43 +156,45 @@ def groupby_aggregate(s: Events, key: Sequence[str] = (), agg: str = "count",
     if agg != "count" and target is None:
         raise ValueError(f"aggregate {agg!r} requires a target attribute")
     out_name = out or target or agg
-
-    events = [e for e in s if all(a in e.payload for a in key)]
-    if not events:
-        return frozenset()
-    points = sorted({p for e in events for p in (e.v_s, e.v_e) if p != INF})
-    segments = list(zip(points, points[1:]))
-    if any(e.v_e == INF for e in events):
-        segments.append((points[-1], INF))
+    fold = _FOLDS.get(agg)
 
     # Groups compare values as Payload does: True, 1 and 1.0 are distinct.
-    group_of = {id(e): tuple(_scalar_key(e.payload[a]) for a in key) for e in events}
+    # An event without the target never changes a sum, avg, max or min.
+    groups: dict[tuple, list[UnitemporalEvent]] = {}
+    for e in s:
+        p = e.payload
+        if all(a in p for a in key) and (fold is None or target in p):
+            if fold is not None:
+                _require_number(p[target])
+            groups.setdefault(tuple(_scalar_key(p[a]) for a in key), []).append(e)
+
     rows = []
-    for seg_s, seg_e in segments:
-        alive = [e for e in events if e.v_s <= seg_s and e.v_e >= seg_e]
-        groups: dict[tuple, list[UnitemporalEvent]] = {}
-        for e in alive:
-            groups.setdefault(group_of[id(e)], []).append(e)
-        for members in groups.values():
-            gkey = tuple(members[0].payload[a] for a in key)
-            if agg == "count":
-                value: Scalar = len(members)
-            else:
-                values = [_require_number(m.payload[target]) for m in members
-                          if target in m.payload]
-                if not values:
-                    continue
-                if agg == "sum":
-                    value = sum(values)
-                elif agg == "avg":
-                    value = sum(values) / len(values)
-                elif agg == "max":
-                    value = max(values)
-                else:
-                    value = min(values)
-            payload = Payload(list(zip(key, gkey)) + [(out_name, value)])
-            rows.append(UnitemporalEvent(seg_s, seg_e, payload))
-    return frozenset(coalesce_star(rows))
+    for members in groups.values():
+        label = [(a, members[0].payload[a]) for a in key]
+        # Member i is filed under its start and its end: at either point it
+        # toggles in or out of the alive set (v_s < v_e, so never both).
+        changes: dict[Time, list[int]] = {}
+        for i, e in enumerate(members):
+            changes.setdefault(e.v_s, []).append(i)
+            changes.setdefault(e.v_e, []).append(i)
+        alive: set[int] = set()
+        payloads: dict[tuple, Payload] = {}
+        run_start, run_payload = None, None
+        for t in sorted(changes):
+            alive.symmetric_difference_update(changes[t])
+            payload = None
+            if alive:
+                value = len(alive) if fold is None else fold(
+                    [members[i].payload[target] for i in sorted(alive)])
+                vkey = _scalar_key(value)
+                payload = payloads.get(vkey)
+                if payload is None:
+                    payload = payloads[vkey] = Payload(label + [(out_name, value)])
+            if payload is not run_payload:
+                if run_payload is not None:
+                    rows.append(UnitemporalEvent(run_start, t, run_payload))
+                run_start, run_payload = t, payload
+    return frozenset(rows)
 
 
 def alter_lifetime(s: Events, fns: LifetimeFunctions) -> frozenset[UnitemporalEvent]:

@@ -335,11 +335,10 @@ class OperatorInstance:
         self._keys = module.partition or (None,) * module.arity
         # Each bucket's last output by stable key, the buckets holding each
         # key, and the buckets a change has touched since (all of them once
-        # an EVERY event changed).
+        # it holds EVERY).
         self._outputs: dict[object, dict[tuple, object]] = {}
         self._holders: dict[tuple, tuple] = {}
         self._stale: set = set()
-        self._all_stale = False
         self._buffer: list[_Buffered] = []
         self._tracked: dict[tuple, _Tracked] = {}
         # The ideal output's keys are the tracked ones plus the held ones;
@@ -348,6 +347,7 @@ class OperatorInstance:
         self._pending: dict[tuple, object] = {}
         self._held: dict[tuple, object] = {}
         self._incarnations: dict[str, int] = {}
+        self._payloads: dict[Payload, Payload] = {}
         # (sync, row, event) per arrival and per emitted row; the wire form
         # of a row is made only when a table is read (see _wire).
         self._in_log: list[tuple] = []
@@ -571,7 +571,7 @@ class OperatorInstance:
             # in first-arrival order, which keeps it close to sorted.
             for bucket in joined:
                 p.buckets.setdefault(bucket, {})[row.k] = event
-            self._touch(joined)
+            self._stale.update(joined)
         else:
             self._unindex(p, row.k)
 
@@ -584,13 +584,7 @@ class OperatorInstance:
             del events[k]
             if not events:
                 del p.buckets[bucket]
-        self._touch(joined)
-
-    def _touch(self, joined: tuple) -> None:
-        if EVERY in joined:
-            self._all_stale = True
-        else:
-            self._stale.update(joined)
+        self._stale.update(joined)
 
     def _refresh(self) -> None:
         """Evaluate the stale buckets and file the keys whose output changed.
@@ -608,11 +602,11 @@ class OperatorInstance:
         ``_pending`` if it is tracked and to ``_held`` otherwise.  So a
         reconcile diffs only what changed and what is held.
         """
-        if self._all_stale or self.module.partition is None:
+        if EVERY in self._stale or self.module.partition is None:
             stale = set(self._outputs).union(*(p.buckets for p in self._ports))
         else:
             stale = self._stale
-        self._stale, self._all_stale = set(), False
+        self._stale = set()
         oe = self._out_event_oe
         changed = []
         for bucket in stale:
@@ -726,8 +720,15 @@ class OperatorInstance:
         if self.module.pattern_mode:
             return TritemporalEvent._trusted(k, e.id, e.v_s, e.v_e, e.o_s, o_e,
                                              self._tick(), INF, e.payload)
+        # The rows share one object per payload value: evaluations rebuild
+        # their output payloads, and input rows each bring their own.  An
+        # equal payload with its attributes in another order keeps its own
+        # object, because its text form shows the order.
+        payload = self._payloads.setdefault(e.payload, e.payload)
+        if payload.pairs != e.payload.pairs:
+            payload = e.payload
         return TritemporalEvent._trusted(k, e.id, e.v_s, INF, e.v_s, o_e,
-                                         self._tick(), INF, e.payload)
+                                         self._tick(), INF, payload)
 
     def _tick(self) -> Time:
         """The next stamp of the shared arrival clock."""

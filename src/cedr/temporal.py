@@ -22,6 +22,7 @@ from __future__ import annotations
 import struct
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 INF = float("inf")
@@ -367,36 +368,38 @@ def meets(i1: tuple[Time, Time], i2: tuple[Time, Time]) -> bool:
     return i1[1] == i2[0]
 
 
-def coalesce_star(events: Iterable[UnitemporalEvent]) -> frozenset[UnitemporalEvent]:
-    """Merge same-payload events whose intervals meet, to a fixpoint.
+def maximal_spans(events: Iterable[UnitemporalEvent]) -> dict[Payload, list[list]]:
+    """Each payload's maximal intervals, as ``[v_s, v_e, id]`` in time order.
 
-    On streams that keep same-payload intervals disjoint (the model's
-    contract) the fixpoint is unique: no two output rows have equal payload
-    and meeting intervals, and the union of intervals per payload is
-    preserved.  Inputs that violate the contract still converge, merging
-    the earliest meeting pair first so the result stays deterministic.
+    One sort and sweep per payload: intervals of one payload that overlap or
+    meet merge into one run, which keeps the id of its earliest event.  The
+    one interval merge, behind ``coalesce_star`` and ``algebra``'s operators.
     """
-    by_payload: dict[Payload, dict[tuple[Time, Time], str]] = {}
+    by_payload: dict[Payload, list] = {}
     for e in events:
-        group = by_payload.setdefault(e.payload, {})
-        group.setdefault((e.v_s, e.v_e), e.id)
-    out: list[UnitemporalEvent] = []
-    for payload, group in by_payload.items():
-        changed = True
-        while changed:
-            changed = False
-            for iv in sorted(group):
-                partners = sorted(p for p in group if p[0] == iv[1])
-                if partners:
-                    left_id = group.pop(iv)
-                    group.pop(partners[0])
-                    merged = (iv[0], partners[0][1])
-                    group.setdefault(merged, left_id)
-                    changed = True
-                    break
-        out.extend(UnitemporalEvent(s, e, payload, id=eid)
-                   for (s, e), eid in group.items())
-    return frozenset(out)
+        by_payload.setdefault(e.payload, []).append((e.v_s, e.v_e, e.id))
+    for payload, spans in by_payload.items():
+        spans.sort(key=itemgetter(0, 1))
+        runs: list[list] = []
+        for v_s, v_e, eid in spans:
+            if runs and v_s <= runs[-1][1]:
+                runs[-1][1] = max(runs[-1][1], v_e)
+            else:
+                runs.append([v_s, v_e, eid])
+        by_payload[payload] = runs
+    return by_payload
+
+
+def coalesce_star(events: Iterable[UnitemporalEvent]) -> frozenset[UnitemporalEvent]:
+    """The unique coalesced form: each payload's maximal intervals.
+
+    Same-payload events that meet or overlap merge into one, which keeps
+    the earliest one's id; every snapshot is preserved.  Overlap breaks the
+    stream contract (one payload's intervals are disjoint) but merges too.
+    """
+    return frozenset(UnitemporalEvent(v_s, v_e, payload, id=eid)
+                     for payload, runs in maximal_spans(events).items()
+                     for v_s, v_e, eid in runs)
 
 
 def reduce(h: HistoryTable) -> HistoryTable:

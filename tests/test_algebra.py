@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cedr.algebra import (
+    AGGREGATES,
     LifetimeFunctions,
     TypeMismatch,
     alter_lifetime,
@@ -20,6 +23,7 @@ from cedr.algebra import (
 from cedr.temporal import INF, Payload, UnitemporalEvent, coalesce_star, concat_payloads
 
 from gen import endpoints, rand_stream, snapshot, split_events
+from oracle_algebra import oracle_coalesce, oracle_groupby
 
 P = Payload({"tag": "p"})
 Q = Payload({"tag": "q"})
@@ -140,6 +144,95 @@ class TestGroupbyAggregate:
         for _ in range(20):
             rng.shuffle(rows)
             assert groupby_aggregate(rows, key=("g",), agg="count", out="c") == want
+
+
+GROUP_VALUES = (True, 1, 1.0, "1", 0, 0.0, -0.0, 2.5)
+TARGET_VALUES = (1, 1.0, 0.1, 0.2, 0.7, -3, 2.5, 1e16, 0.0, -0.0, 7)
+GROUP_KEYS = ((), ("g",), ("g", "h"), ("h",))
+
+
+def random_aggregation_input(rng):
+    """Up to 10 events; keys and targets of mixed types, some missing or bad."""
+    events = []
+    for i in range(rng.randint(0, 10)):
+        attrs = []
+        if rng.random() < 0.9:
+            attrs.append(("g", rng.choice(GROUP_VALUES)))
+        if rng.random() < 0.5:
+            attrs.append(("h", rng.choice((0, 1))))
+        if rng.random() < 0.85:
+            attrs.append(("x", rng.choice(TARGET_VALUES)))
+        elif rng.random() < 0.1:
+            attrs.append(("x", rng.choice(("oops", True))))
+        rng.shuffle(attrs)
+        v_s = rng.randint(0, 12)
+        v_e = INF if rng.random() < 0.2 else v_s + rng.randint(1, 6)
+        events.append(ue(v_s, v_e, Payload(attrs), id=f"e{i}"))
+    return events
+
+
+def outcome(fn, *args, **kwargs):
+    """Sorted rows, with the payload's text form, or the TypeMismatch raised."""
+    try:
+        rows = fn(*args, **kwargs)
+    except TypeMismatch:
+        return TypeMismatch
+    return sorted(((e.v_s, e.v_e, repr(e.payload), e.id) for e in rows), key=repr)
+
+
+class TestGroupbyMatchesOracle:
+    """The per-group sweep against segment-everything-then-coalesce."""
+
+    def test_random_inputs(self):
+        rng = random.Random("groupby-oracle")
+        seen = {"rows": 0, "mismatch": 0}
+        for _ in range(3000):
+            events = random_aggregation_input(rng)
+            params = dict(key=rng.choice(GROUP_KEYS), agg=rng.choice(AGGREGATES),
+                          target="x", out=rng.choice((None, "out")))
+            want = outcome(oracle_groupby, events, **params)
+            assert outcome(groupby_aggregate, events, **params) == want, (events, params)
+            if want is TypeMismatch:
+                seen["mismatch"] += 1
+            else:
+                seen["rows"] += len(want)
+        assert seen["mismatch"] > 50 and seen["rows"] > 5000
+
+    def test_coalesce_matches_fixpoint_on_disjoint_input(self):
+        # Within the stream contract (one payload's intervals never
+        # overlap) the sweep and the merge-to-fixpoint agree, ids included.
+        rng = random.Random("coalesce-oracle")
+        for _ in range(500):
+            events, cursor = [], {}
+            for i in range(rng.randint(0, 12)):
+                payload = Payload({"g": rng.choice(GROUP_VALUES[:4])})
+                v_s = cursor.get(payload, 0) + rng.randint(0, 2)
+                v_e = INF if rng.random() < 0.1 else v_s + rng.randint(1, 4)
+                if v_s == INF:
+                    continue
+                events.append(ue(v_s, v_e, payload, id=f"e{i}"))
+                cursor[payload] = v_e
+            assert outcome(coalesce_star, events) == outcome(oracle_coalesce, events)
+
+
+class TestOneMaximalForm:
+    @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 6),
+                              st.sampled_from("PQ"), st.sampled_from("abc")),
+                    max_size=12))
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_coalesce_union_and_difference_agree(self, raw):
+        # Overlapping same-payload intervals included: all three give the
+        # unique maximal form, whatever the packaging.
+        s = [ue(v_s, INF if w == 0 else v_s + w, P if tag == "P" else Q, id=eid)
+             for v_s, w, tag, eid in raw]
+        starred = coalesce_star(s)
+        assert starred == union(s, ()) == union((), s) == difference(s, ())
+        for a in starred:
+            for b in starred:
+                if a is not b and a.payload == b.payload:
+                    assert a.v_e < b.v_s or b.v_e < a.v_s
+        for t in {x for e in s for x in (e.v_s, e.v_e - 1, e.v_e) if x != INF}:
+            assert snapshot(starred, t) == snapshot(s, t)
 
 
 class TestAlterLifetime:

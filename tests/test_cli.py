@@ -130,6 +130,12 @@ class TestRun:
         assert main(["run", "--query", str(query_file), "--config", str(cfg)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_bad_flag_is_a_usage_error(self, query_file, capsys):
+        # main returns the exit code, as for a bad config value; it does
+        # not raise SystemExit into an in-process caller.
+        assert main(["run", "--query", str(query_file), "--tick-unit", "hour"]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_command_line_wins_over_config(self, tmp_path, query_file):
         write_stream(tmp_path / "install.jsonl", [machine_event("i1", 10)])
         write_stream(tmp_path / "shutdown.jsonl", [machine_event("s1", 100)])

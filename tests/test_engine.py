@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -1377,3 +1378,43 @@ class TestRemovalRows:
         assert len(content_set(out)) == 1
         out += inst.ingest(self.REMOVAL, 0) + inst.flush()
         assert content_set(out) == frozenset()
+
+
+class TestSharedOutputPayloads:
+    """A merged instance's rows share one Payload object per payload value.
+
+    Coalescing operators build their output payloads anew on every
+    evaluation; rows that carried those copies would keep one per emitted
+    row alive.  Pattern rows keep their event's own payload: the wire form
+    (``@rt``/``@cbt``) is chosen by payload identity.
+    """
+
+    @pytest.mark.parametrize("kind", ["union", "difference", "groupby"])
+    @pytest.mark.parametrize("level", [STRONG, MIDDLE])
+    def test_one_object_per_payload_value(self, kind, level):
+        emitted = []
+        for seed in range(6):
+            rng = random.Random(f"shared-payload-{kind}-{seed}")
+            _, arrivals = make_merged_workload(rng, arity_of(kind), 10, skew=4,
+                                               retract_prob=0.3)
+            _, out = run_module(module_under_test(kind), arrivals, level,
+                                honest_schedule(arrivals, every=3))
+            objects: dict = {}
+            for r in out:
+                objects.setdefault(r.payload, set()).add(id(r.payload))
+            assert all(len(ids) == 1 for ids in objects.values()), kind
+            emitted.append(len(out))
+        assert sum(emitted) > 20
+
+    def test_pattern_rows_keep_their_wire_form(self):
+        pipe = Pipeline(SequenceOp((Leaf("A", "x"), Leaf("B", "y")), 10), MIDDLE)
+        pipe.feed("A", TritemporalEvent("K1", "a1", 1, 5, 1, INF, 0))
+        out = pipe.feed("B", TritemporalEvent("L1", "b1", 3, 9, 3, INF, 1))
+        out += pipe.flush()
+        assert len(out) == 1
+        assert out[0].payload["@rt"] == 1
+        assert json.loads(out[0].payload["@cbt"]) == ["a1", "b1"]
+        inst = OperatorInstance(build_module("sequence", k=2, w=10), MIDDLE)
+        out = inst.ingest(TritemporalEvent("K1", "a1", 1, 5, 1, INF, 0), 0)
+        out += inst.ingest(TritemporalEvent("L1", "b1", 3, 9, 3, INF, 1), 1)
+        assert [r.payload["@cbt"] for r in out + inst.flush()] == ['["a1", "b1"]']

@@ -117,7 +117,7 @@ class TestCoalesceStar:
 
     @given(st.lists(st.tuples(st.integers(0, 20), st.integers(1, 8),
                               st.booleans()), max_size=12))
-    @settings(max_examples=200, deadline=None)
+    @settings(derandomize=True, max_examples=200, deadline=None)
     def test_snapshots_characterize_coalesced_form(self, raw):
         # Build a valid stream per payload: disjoint intervals by construction.
         events, cursor = [], {True: 0, False: 0}
@@ -343,7 +343,7 @@ class TestLogicalEquivalence:
             assert logically_equivalent(TABLE_A, remapped, t0, "at")
 
     @given(st.data())
-    @settings(max_examples=60, deadline=None)
+    @settings(derandomize=True, max_examples=60, deadline=None)
     def test_equivalence_relation_on_random_triples(self, data):
         def random_table(tag):
             n = data.draw(st.integers(1, 4), label=f"rows_{tag}")
