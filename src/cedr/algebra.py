@@ -57,8 +57,8 @@ Events = Iterable[UnitemporalEvent]
 
 def project(s: Events, f: PayloadFn) -> frozenset[UnitemporalEvent]:
     """Map each payload through ``f``; intervals pass through unchanged."""
-    return frozenset(
-        UnitemporalEvent(e.v_s, e.v_e, f(e.payload), id=e.id) for e in s)
+    trusted = UnitemporalEvent._trusted
+    return frozenset(trusted(e.v_s, e.v_e, f(e.payload), e.id) for e in s)
 
 
 def select(s: Events, f: PredicateFn) -> frozenset[UnitemporalEvent]:
@@ -75,14 +75,15 @@ def join(s1: Events, s2: Events, theta: ThetaFn) -> frozenset[UnitemporalEvent]:
     """
     left = sorted(s1, key=lambda e: e.sort_key)
     right = sorted(s2, key=lambda e: e.sort_key)
+    trusted = UnitemporalEvent._trusted
     out = []
     for e1 in left:
         for e2 in right:
             v_s = max(e1.v_s, e2.v_s)
             v_e = min(e1.v_e, e2.v_e)
             if v_s < v_e and theta(e1.payload, e2.payload):
-                out.append(UnitemporalEvent(
-                    v_s, v_e, concat_payloads((e1.payload, e2.payload))))
+                out.append(trusted(
+                    v_s, v_e, concat_payloads((e1.payload, e2.payload)), ""))
     return frozenset(out)
 
 
@@ -105,19 +106,19 @@ def _subtract(base: list[list], holes: list[list]) -> list[tuple[Time, Time]]:
 
 def union(s1: Events, s2: Events) -> frozenset[UnitemporalEvent]:
     """Snapshot union: a payload is present whenever either input holds it."""
-    return frozenset(
-        UnitemporalEvent(s, e, payload)
-        for payload, runs in maximal_spans([*s1, *s2]).items()
-        for s, e, _ in runs)
+    trusted = UnitemporalEvent._trusted
+    return frozenset(trusted(s, e, payload, "")
+                     for payload, runs in maximal_spans([*s1, *s2]).items()
+                     for s, e, _ in runs)
 
 
 def difference(s1: Events, s2: Events) -> frozenset[UnitemporalEvent]:
     """Snapshot difference: present in the first input and not the second."""
     right = maximal_spans(s2)
-    return frozenset(
-        UnitemporalEvent(s, e, payload)
-        for payload, runs in maximal_spans(s1).items()
-        for s, e in _subtract(runs, right.get(payload, [])))
+    trusted = UnitemporalEvent._trusted
+    return frozenset(trusted(s, e, payload, "")
+                     for payload, runs in maximal_spans(s1).items()
+                     for s, e in _subtract(runs, right.get(payload, [])))
 
 
 def _require_number(value: Scalar) -> int | float:
@@ -168,6 +169,7 @@ def groupby_aggregate(s: Events, key: Sequence[str] = (), agg: str = "count",
                 _require_number(p[target])
             groups.setdefault(tuple(_scalar_key(p[a]) for a in key), []).append(e)
 
+    trusted = UnitemporalEvent._trusted
     rows = []
     for members in groups.values():
         label = [(a, members[0].payload[a]) for a in key]
@@ -192,7 +194,7 @@ def groupby_aggregate(s: Events, key: Sequence[str] = (), agg: str = "count",
                     payload = payloads[vkey] = Payload(label + [(out_name, value)])
             if payload is not run_payload:
                 if run_payload is not None:
-                    rows.append(UnitemporalEvent(run_start, t, run_payload))
+                    rows.append(trusted(run_start, t, run_payload, ""))
                 run_start, run_payload = t, payload
     return frozenset(rows)
 

@@ -30,21 +30,19 @@ from .temporal import (
     canonical_at,
     canonical_to,
     logically_equivalent,
+    parse_time,
 )
 
 OK, DIAGNOSTICS, IO_FAILURE, DIFFER = 0, 1, 2, 3
 
 
-def _parse_time_arg(text: str, name: str) -> Time:
-    if text.lower() == "inf":
-        return INF
+def _time_flag(text: str) -> Time:
+    """An argparse type: a non-negative tick count, or ``inf``."""
     try:
-        value = int(text)
+        return parse_time("inf" if text.lower() == "inf" else int(text))
     except ValueError:
-        raise SystemExit(f"error: {name} must be an integer or 'inf'")
-    if value < 0:
-        raise SystemExit(f"error: {name} must be non-negative")
-    return value
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer or 'inf', got {text!r}") from None
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -105,29 +103,34 @@ def _write_rows(rows, path: str | None) -> None:
 
 def _level_from_args(args) -> ConsistencyLevel:
     level = ConsistencyLevel.named(args.level)
-    memory = level.memory if args.memory is None else _parse_time_arg(args.memory, "--memory")
-    block = level.blocking if args.block is None else _parse_time_arg(args.block, "--block")
-    return ConsistencyLevel(memory, block)
+    return ConsistencyLevel(level.memory if args.memory is None else args.memory,
+                            level.blocking if args.block is None else args.block)
 
 
-def _compile_from_file(query_path: str, ticks_per_minute: int):
+def _parse_file(path: str):
+    """The AST of the query in ``path``; exits 2 if unreadable, 1 on errors."""
     try:
-        with open(query_path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             source = fh.read()
     except OSError as exc:
-        print(f"error: {query_path}: {exc.strerror}", file=sys.stderr)
+        print(f"error: {path}: {exc.strerror}", file=sys.stderr)
         raise SystemExit(IO_FAILURE)
     parsed = parse(source)
     for d in parsed.diagnostics:
-        print(f"{query_path}:{d.render()}", file=sys.stderr)
+        print(f"{path}:{d.render()}", file=sys.stderr)
     if not parsed.ok:
         raise SystemExit(DIAGNOSTICS)
-    compiled = compile_query(parsed.ast, ticks_per_minute)
+    return parsed.ast
+
+
+def _compile_from_file(query_path: str, ticks_per_minute: int):
+    ast = _parse_file(query_path)
+    compiled = compile_query(ast, ticks_per_minute)
     for d in compiled.diagnostics:
         print(f"{query_path}:{d.render()}", file=sys.stderr)
     if not compiled.ok:
         raise SystemExit(DIAGNOSTICS)
-    return parsed.ast, compiled.plan
+    return ast, compiled.plan
 
 
 def _sync_sequence(feed):
@@ -223,10 +226,8 @@ def cmd_disorder(args) -> int:
 
 
 def cmd_canon(args) -> int:
-    rows = _read_stream(args.input)
-    t0 = _parse_time_arg(args.t0, "--t0")
-    table = HistoryTable(rows)
-    canon = canonical_to(table, t0) if args.mode == "to" else canonical_at(table, t0)
+    table = HistoryTable(_read_stream(args.input))
+    canon = (canonical_to if args.mode == "to" else canonical_at)(table, args.t0)
     if args.output:
         write_table(canon, args.output)
     else:
@@ -237,27 +238,16 @@ def cmd_canon(args) -> int:
 def cmd_equiv(args) -> int:
     a = HistoryTable(_read_stream(args.a))
     b = HistoryTable(_read_stream(args.b))
-    t0 = _parse_time_arg(args.t0, "--t0")
-    same = logically_equivalent(a, b, t0, args.mode)
+    same = logically_equivalent(a, b, args.t0, args.mode)
     print("equivalent" if same else "different")
     return OK if same else DIFFER
 
 
 def cmd_parse(args) -> int:
-    try:
-        with open(args.query, encoding="utf-8") as fh:
-            source = fh.read()
-    except OSError as exc:
-        print(f"error: {args.query}: {exc.strerror}", file=sys.stderr)
-        return IO_FAILURE
-    result = parse(source)
-    for d in result.diagnostics:
-        print(f"{args.query}:{d.render()}", file=sys.stderr)
-    if not result.ok:
-        return DIAGNOSTICS
-    print(json.dumps(ast_to_obj(result.ast), indent=2, sort_keys=True))
+    ast = _parse_file(args.query)
+    print(json.dumps(ast_to_obj(ast), indent=2, sort_keys=True))
     if args.plan:
-        compiled = compile_query(result.ast)
+        compiled = compile_query(ast)
         if compiled.ok:
             print(plan_dumps(compiled.plan))
     return OK
@@ -276,9 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="event log for one stream (repeatable)")
     run.add_argument("--level", default="middle",
                      choices=["strong", "middle", "weak"])
-    run.add_argument("--memory", default=None, metavar="M",
+    run.add_argument("--memory", type=_time_flag, default=None, metavar="M",
                      help="memory limit in ticks, or 'inf'")
-    run.add_argument("--block", default=None, metavar="B",
+    run.add_argument("--block", type=_time_flag, default=None, metavar="B",
                      help="blocking limit in ticks, or 'inf'")
     run.add_argument("--tick-unit", default="minute", choices=["minute", "second"],
                      dest="tick_unit")
@@ -301,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     canon = sub.add_parser("canon", help="canonicalize a stream")
     canon.add_argument("--input", required=True)
-    canon.add_argument("--t0", required=True)
+    canon.add_argument("--t0", type=_time_flag, required=True)
     canon.add_argument("--mode", default="to", choices=["to", "at"])
     canon.add_argument("--output", default=None)
     canon.set_defaults(func=cmd_canon)
@@ -309,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     eq = sub.add_parser("equiv", help="check logical equivalence of two streams")
     eq.add_argument("a")
     eq.add_argument("b")
-    eq.add_argument("--t0", required=True)
+    eq.add_argument("--t0", type=_time_flag, required=True)
     eq.add_argument("--mode", default="to", choices=["to", "at"])
     eq.set_defaults(func=cmd_equiv)
 

@@ -153,8 +153,9 @@ def pattern_event_from_row(r: TritemporalEvent) -> PatternEvent:
 def merged_event_from_row(r: TritemporalEvent) -> UnitemporalEvent:
     # In the merged single-axis reading the occurrence interval is the
     # event lifetime; wire rows keep an open valid interval so that every
-    # row of a lineage carries identical valid columns.
-    return UnitemporalEvent(r.o_s, r.o_e, r.payload, id=r.id)
+    # row of a lineage carries identical valid columns.  Built unchecked: a
+    # live row (o_s < o_e) has valid occurrence times.
+    return UnitemporalEvent._trusted(r.o_s, r.o_e, r.payload, r.id)
 
 
 # --- operational modules -----------------------------------------------------
@@ -305,15 +306,13 @@ class _Tracked:
 
 
 class _Buffered:
-    __slots__ = ("sync", "seq", "port", "row", "event", "seen_at_arrival")
+    __slots__ = ("sync", "port", "row", "event")
 
-    def __init__(self, sync, seq, port, row, event, seen_at_arrival):
+    def __init__(self, sync, port, row, event):
         self.sync = sync
-        self.seq = seq
         self.port = port
         self.row = row
         self.event = event
-        self.seen_at_arrival = seen_at_arrival
 
 
 class OperatorInstance:
@@ -341,11 +340,10 @@ class OperatorInstance:
         self._stale: set = set()
         self._buffer: list[_Buffered] = []
         self._tracked: dict[tuple, _Tracked] = {}
-        # The ideal output's keys are the tracked ones plus the held ones;
-        # ``_pending`` has the new ideal output (None if gone) of each
-        # tracked key whose output changed since the last reconcile.
-        self._pending: dict[tuple, object] = {}
-        self._held: dict[tuple, object] = {}
+        # What the next reconcile must settle: a tracked key whose output
+        # changed maps to its new ideal output (None if gone), an untracked
+        # key to its ideal output, which is not emitted yet.
+        self._due: dict[tuple, object] = {}
         self._incarnations: dict[str, int] = {}
         self._payloads: dict[Payload, Payload] = {}
         # (sync, row, event) per arrival and per emitted row; the wire form
@@ -354,7 +352,6 @@ class OperatorInstance:
         self._out_log: list[tuple] = []
         self._clock = clock if clock is not None else [0]
         check_time(self._clock[0], "clock")
-        self._seq = 0
         self._max_seen: Time = NEG
         self._dirty = False
         self._pending_switch_rows: list[tuple] = []
@@ -395,8 +392,7 @@ class OperatorInstance:
             return []
         if sync > self._max_seen:
             self._max_seen = sync
-        self._seq += 1
-        self._buffer.append(_Buffered(sync, self._seq, port, row, event, self._max_seen))
+        self._buffer.append(_Buffered(sync, port, row, event))
         out = self._drain()
         self._sample_state()
         return out
@@ -528,8 +524,8 @@ class OperatorInstance:
             # Freeze silently: outputs that are no longer derivable from the
             # trimmed state keep their emitted rows but stop being repaired.
             self._refresh()
-            for key in [k for k, now in self._pending.items() if now is None]:
-                del self._pending[key]
+            for key in [k for k, now in self._due.items() if now is None]:
+                del self._due[key]
                 del self._tracked[key]
 
     def _drain(self, frontier_moved: bool = False) -> list[tuple]:
@@ -537,7 +533,8 @@ class OperatorInstance:
         ready = [b for b in self._buffer if b.sync <= release]
         if ready:
             self._buffer = [b for b in self._buffer if b.sync > release]
-            ready.sort(key=lambda b: (b.sync, b.row.c_s, b.seq))
+            # Every restamped row has its own c_s, so the order is total.
+            ready.sort(key=lambda b: (b.sync, b.row.c_s))
             for b in ready:
                 # Waiting measured on the arrival clock: zero when a row is
                 # applied within the same ingestion step that admitted it.
@@ -598,9 +595,9 @@ class OperatorInstance:
         is a separate cache, with its own memory cost.
 
         Each key that appeared, vanished or changed its end in a bucket's
-        output is resolved again over every bucket holding it, and goes to
-        ``_pending`` if it is tracked and to ``_held`` otherwise.  So a
-        reconcile diffs only what changed and what is held.
+        output is resolved again over every bucket holding it and filed in
+        ``_due``; an untracked key whose output vanished leaves it.  So a
+        reconcile diffs only what changed and what is not emitted yet.
         """
         if EVERY in self._stale or self.module.partition is None:
             stale = set(self._outputs).union(*(p.buckets for p in self._ports))
@@ -640,14 +637,13 @@ class OperatorInstance:
                     else:
                         del self._holders[key]
                     changed.append(key)
+        due = self._due
         for key in changed:
             now = self._resolve(key)
-            if key in self._tracked:
-                self._pending[key] = now
-            elif now is None:
-                self._held.pop(key, None)
+            if now is None and key not in self._tracked:
+                due.pop(key, None)
             else:
-                self._held[key] = now
+                due[key] = now
 
     def _resolve(self, key: tuple):
         """The ideal output under ``key``; None if no bucket holds it."""
@@ -744,13 +740,25 @@ class OperatorInstance:
             frontier = self._guarantee_frontier()
             bound = frontier - self.module.lag if frontier != NEG else NEG
 
-        # (anchor, 0 for a tracked key or 1 for a held one, repr of the
-        # stable key, the key, its steps); the repr orders ties and names
-        # new lineages.
+        suppress_below = self._horizon() - self.module.lag
+
+        # (anchor, 0 for a tracked key or 1 for an untracked one, repr of
+        # the stable key, the key, its steps): a total order, as the repr
+        # tells keys apart.  The repr also names new lineages.
         actions: list[tuple[Time, int, str, tuple, tuple]] = []
-        pending, self._pending = self._pending, {}
-        for key, now in pending.items():
-            tracked = self._tracked[key]
+        due = self._due
+        for key, now in list(due.items()):
+            tracked = self._tracked.get(key)
+            if tracked is None:
+                anchor = self._anchor(now)
+                # Forgotten past: results anchored behind the memory horizon
+                # are never (re)introduced.  The operator lag protects
+                # genuinely new results whose anchors trail the inputs that
+                # produced them.
+                if anchor >= suppress_below and (bound is None or anchor <= bound):
+                    actions.append((anchor, 1, repr(key), key, (("insert", now),)))
+                continue
+            del due[key]
             new_o_e = self._out_event_oe(now) if now is not None else None
             if now is not None and new_o_e == tracked.o_e:
                 continue
@@ -762,25 +770,13 @@ class OperatorInstance:
             else:
                 actions.append((anchor, 0, repr(key), key, (("kill", None),
                                                             ("insert", now))))
-        horizon = self._horizon()
-        suppress_below = horizon - self.module.lag
-        for key, e in self._held.items():
-            anchor = self._anchor(e)
-            if anchor < suppress_below:
-                # Forgotten past: results anchored behind the memory
-                # horizon are never (re)introduced.  The operator lag
-                # protects genuinely new results whose anchors trail
-                # the inputs that produced them.
-                continue
-            if bound is None or anchor <= bound:
-                actions.append((anchor, 1, repr(key), key, (("insert", e),)))
 
         actions.sort(key=itemgetter(0, 1, 2))
         emitted: list[tuple] = []
         for _, _, text, key, steps in actions:
             for op, e in steps:
                 if op == "insert":
-                    self._held.pop(key, None)
+                    due.pop(key, None)
                     k = self._fresh_k(text)
                     o_e = self._out_event_oe(e)
                     self._tracked[key] = _Tracked(k, e, o_e)
@@ -831,13 +827,12 @@ def sync_points_of(a: AnnotatedHistoryTable) -> list[SyncPointPair]:
 # --- pipelines ---------------------------------------------------------------
 
 class _Node:
-    __slots__ = ("instance", "parent", "parent_port", "plan")
+    __slots__ = ("instance", "parent", "parent_port")
 
-    def __init__(self, instance, parent, parent_port, plan):
+    def __init__(self, instance, parent, parent_port):
         self.instance = instance
         self.parent = parent
         self.parent_port = parent_port
-        self.plan = plan
 
 
 class Pipeline:
@@ -879,7 +874,7 @@ class Pipeline:
                               **patterns.node_params(plan))
         instance = OperatorInstance(module, node_levels.get(name, level),
                                     name=name, store=self._store, clock=self._clock)
-        node = _Node(instance, parent, parent_port, plan)
+        node = _Node(instance, parent, parent_port)
         self._nodes.append(node)
         ports = kind.ports_of(plan)
         if not ports:  # a leaf reads its stream

@@ -23,7 +23,7 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import MISSING, dataclass, replace
 from dataclasses import fields as dataclass_fields
-from operator import attrgetter
+from operator import attrgetter, eq, ge, gt, le, lt, ne
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .temporal import (
@@ -35,8 +35,11 @@ from .temporal import (
     TemporalError,
     Time,
     TritemporalEvent,
+    _trusted_constructor,
     check_time,
     concat_payloads,
+    fmt_time,
+    parse_time,
 )
 
 
@@ -84,32 +87,10 @@ class PatternEvent:
         return (self.v_s, self.v_e, self.o_s, self.o_e, self.id)
 
 
-def _unchecked_event():
-    set_id, set_vs, set_ve, set_os, set_oe, set_rt, set_cbt, set_payload = (
-        getattr(PatternEvent, f.name).__set__ for f in dataclass_fields(PatternEvent))
-    new = object.__new__
-
-    def trusted(id: str, v_s: Time, v_e: Time, o_s: Time, o_e: Time, rt: Time,
-                cbt: tuple[str, ...], payload: Payload) -> PatternEvent:
-        e = new(PatternEvent)
-        set_id(e, id)
-        set_vs(e, v_s)
-        set_ve(e, v_e)
-        set_os(e, o_s)
-        set_oe(e, o_e)
-        set_rt(e, rt)
-        set_cbt(e, cbt)
-        set_payload(e, payload)
-        return e
-
-    return trusted
-
-
-# The one unchecked constructor, as ``TritemporalEvent._trusted``: only for
-# events built from fields valid by construction (composites and
-# pass-throughs of valid contributors under a checked scope, and the
-# engine's decoding of valid rows).
-PatternEvent._trusted = staticmethod(_unchecked_event())
+# Unchecked, for events built from fields valid by construction: composites
+# and pass-throughs of valid contributors under a checked scope, and the
+# engine's decoding of valid rows.
+PatternEvent._trusted = _trusted_constructor(PatternEvent)
 
 
 def primitive(id: str, v_s: Time, v_e: Time, *, o_s: Time | None = None,
@@ -345,7 +326,8 @@ class AttrRef:
     attr: str
 
 
-COMPARE_OPS = ("=", "!=", "<", "<=", ">", ">=")
+_COMPARE = {"=": eq, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
+COMPARE_OPS = tuple(_COMPARE)
 
 
 @dataclass(frozen=True)
@@ -389,17 +371,7 @@ class Predicate:
         else:
             right = self.rhs
         try:
-            if self.op == "=":
-                return left == right
-            if self.op == "!=":
-                return left != right
-            if self.op == "<":
-                return left < right
-            if self.op == "<=":
-                return left <= right
-            if self.op == ">":
-                return left > right
-            return left >= right
+            return _COMPARE[self.op](left, right)
         except TypeError:
             return False
 
@@ -839,14 +811,6 @@ def evaluate_plan(plan, inputs: Mapping[str, Iterable[PatternEvent]],
 
 # --- plan serialization ------------------------------------------------------
 
-def _time_obj(t: Time):
-    return "inf" if t == INF else t
-
-
-def _time_from(v) -> Time:
-    return INF if v == "inf" else v
-
-
 def _pred_obj(p: Predicate) -> dict:
     rhs = {"var": p.rhs.var, "attr": p.rhs.attr} if isinstance(p.rhs, AttrRef) else p.rhs
     return {"lhs": {"var": p.lhs.var, "attr": p.lhs.attr}, "op": p.op, "rhs": rhs}
@@ -891,12 +855,14 @@ def plan_dumps(node) -> str:
 # Any other field is raw: it gives the parameter of its own name and
 # serializes as itself.
 
+# Times are checked on the way out too: fmt_time would write 2.5 as 2.
+
 def _span_obj(span):
-    return None if span is None else [_time_obj(span[0]), _time_obj(span[1])]
+    return None if span is None else [fmt_time(check_time(b, "span bound")) for b in span]
 
 
 def _span_from(v):
-    return tuple(_time_from(b) for b in v) if v else None
+    return tuple(parse_time(b, "span bound") for b in v) if v else None
 
 
 def _preds_obj(preds):
@@ -910,7 +876,8 @@ _ROLES = {
                  lambda v: tuple(plan_from_obj(c) for c in v)),
     "child": _NODE_ROLE,
     "blocker": _NODE_ROLE,
-    "scope": ("w", None, _time_obj, _time_from),
+    "scope": ("w", None, lambda t: fmt_time(check_time(t, "scope")),
+              lambda v: parse_time(v, "scope")),
     "occ": ("occ", None, _span_obj, _span_from),
     "valid": ("valid", None, _span_obj, _span_from),
     "preds": _PREDS_ROLE,

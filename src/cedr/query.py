@@ -328,10 +328,6 @@ class _Parser:
             "error", tok.line, tok.col, max(len(tok.text), 1), message, hint))
         raise _ParseAbort
 
-    def warn(self, tok: _Token, message: str, hint: str | None = None):
-        self.diagnostics.append(Diagnostic(
-            "warning", tok.line, tok.col, max(len(tok.text), 1), message, hint))
-
     def at_keyword(self, word: str) -> bool:
         tok = self.peek()
         return tok.kind == "name" and tok.text.upper() == word

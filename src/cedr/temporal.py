@@ -225,33 +225,35 @@ class TritemporalEvent:
         return head + (self.id, self.v_s, self.v_e, self.o_s, self.o_e, self.payload)
 
 
-def _unchecked_row():
-    set_k, set_id, set_vs, set_ve, set_os, set_oe, set_cs, set_ce, set_payload = (
-        getattr(TritemporalEvent, f.name).__set__ for f in fields(TritemporalEvent))
-    new = object.__new__
+def _trusted_constructor(cls):
+    """The unchecked constructor of the slotted dataclass ``cls``.
 
-    def trusted(k: str, id: str, v_s: Time, v_e: Time, o_s: Time, o_e: Time,
-                c_s: Time, c_e: Time, payload: Payload) -> TritemporalEvent:
-        row = new(TritemporalEvent)
-        set_k(row, k)
-        set_id(row, id)
-        set_vs(row, v_s)
-        set_ve(row, v_e)
-        set_os(row, o_s)
-        set_oe(row, o_e)
-        set_cs(row, c_s)
-        set_ce(row, c_e)
-        set_payload(row, payload)
-        return row
+    Generated once, as ``dataclasses`` generates ``__init__``: straight-line
+    code that writes each slot through its descriptor, in field order, and
+    skips ``__post_init__``.  Every field is positional; none has a default.
+    Only for events built from fields that are valid by construction (the
+    engine's and the operators' rebuilds of events they already hold);
+    input from outside uses the checking constructor.
+    """
+    names = [f.name for f in fields(cls)]
+    setters = [f"_set_{name}" for name in names]
+    source = "\n".join([
+        f"def make(_new, _cls, {', '.join(setters)}):",
+        f" def trusted({', '.join(names)}):",
+        "  obj = _new(_cls)",
+        *(f"  {setter}(obj, {name})" for setter, name in zip(setters, names)),
+        "  return obj",
+        " return trusted",
+    ])
+    scope: dict = {}
+    exec(source, scope)
+    trusted = scope["make"](object.__new__, cls,
+                            *(getattr(cls, name).__set__ for name in names))
+    trusted.__qualname__ = f"{cls.__name__}._trusted"
+    return staticmethod(trusted)
 
-    return trusted
 
-
-# The one unchecked constructor: it writes each slot as the generated
-# ``__init__`` does but skips ``__post_init__``.  Only for rows built from
-# fields that are valid by construction (the engine's rebuilds of rows and
-# events it already holds); input from outside uses the checking one.
-TritemporalEvent._trusted = staticmethod(_unchecked_row())
+TritemporalEvent._trusted = _trusted_constructor(TritemporalEvent)
 
 
 class HistoryTable:
@@ -348,6 +350,9 @@ class UnitemporalEvent:
         return (self.v_s, self.v_e, self.payload.canon)
 
 
+UnitemporalEvent._trusted = _trusted_constructor(UnitemporalEvent)
+
+
 @dataclass(frozen=True, slots=True)
 class SyncPointPair:
     """A candidate synchronization point: occurrence time plus arrival time."""
@@ -397,7 +402,8 @@ def coalesce_star(events: Iterable[UnitemporalEvent]) -> frozenset[UnitemporalEv
     the earliest one's id; every snapshot is preserved.  Overlap breaks the
     stream contract (one payload's intervals are disjoint) but merges too.
     """
-    return frozenset(UnitemporalEvent(v_s, v_e, payload, id=eid)
+    trusted = UnitemporalEvent._trusted
+    return frozenset(trusted(v_s, v_e, payload, eid)
                      for payload, runs in maximal_spans(events).items()
                      for v_s, v_e, eid in runs)
 

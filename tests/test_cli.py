@@ -136,6 +136,17 @@ class TestRun:
         assert main(["run", "--query", str(query_file), "--tick-unit", "hour"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["--memory", "abc"], ["--block", "-1"]])
+    def test_bad_time_flag_is_a_usage_error(self, query_file, capsys, argv):
+        assert main(["run", "--query", str(query_file), *argv]) == 2
+        assert "error: argument " + argv[0] in capsys.readouterr().err
+
+    def test_bad_time_in_config_is_a_usage_error(self, tmp_path, query_file, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("memory = abc\n")
+        assert main(["run", "--query", str(query_file), "--config", str(cfg)]) == 2
+        assert "error: argument --memory" in capsys.readouterr().err
+
     def test_command_line_wins_over_config(self, tmp_path, query_file):
         write_stream(tmp_path / "install.jsonl", [machine_event("i1", 10)])
         write_stream(tmp_path / "shutdown.jsonl", [machine_event("s1", 100)])
@@ -289,6 +300,17 @@ class TestCanonEquiv:
         assert main(["canon", "--input", str(tmp_path / "nope.jsonl"),
                      "--t0", "3"]) == 2
 
+    @pytest.mark.parametrize("command,t0", [("canon", "-3"), ("equiv", "x")])
+    def test_bad_t0_is_a_usage_error(self, tmp_path, capsys, command, t0):
+        a, b = self._tables(tmp_path)
+        files = ["--input", str(a)] if command == "canon" else [str(a), str(b)]
+        assert main([command, *files, "--t0", t0]) == 2
+        assert "error: argument --t0" in capsys.readouterr().err
+
+    def test_t0_accepts_inf_in_any_case(self, tmp_path):
+        a, _ = self._tables(tmp_path)
+        assert main(["equiv", str(a), str(a), "--t0", "INF"]) == 0
+
 
 class TestParseCommand:
     def test_ast_dump(self, tmp_path, capsys):
@@ -303,10 +325,17 @@ class TestParseCommand:
         plan = json.loads(plan_text)
         assert plan["type"] == "unless"
 
-    def test_parse_error_exit_one(self, tmp_path):
+    def test_parse_error_exit_one(self, tmp_path, capsys):
         q = tmp_path / "q.cedr"
         q.write_text("EVENT WHEN")
         assert main(["parse", "--query", str(q)]) == 1
+        assert capsys.readouterr().err.startswith(f"{q}:error: 1:7: ")
+
+    @pytest.mark.parametrize("command", ["parse", "run"])
+    def test_unreadable_query_exit_two(self, tmp_path, capsys, command):
+        q = tmp_path / "nope.cedr"
+        assert main([command, "--query", str(q)]) == 2
+        assert capsys.readouterr().err == f"error: {q}: No such file or directory\n"
 
 
 class TestDisorderedRunEquivalence:

@@ -468,6 +468,30 @@ class TestPlanSerialization:
         with pytest.raises(ValueError):
             plan_from_obj({"type": "sometimes", "children": []})
 
+    @pytest.mark.parametrize("bad", [
+        {"type": "sequence", "scope": True,
+         "children": [{"type": "stream", "stream": "A"}, {"type": "stream", "stream": "B"}]},
+        {"type": "slice", "occ": [0, "x"], "child": {"type": "stream", "stream": "A"}},
+        {"type": "slice", "valid": [-1, "inf"], "child": {"type": "stream", "stream": "A"}},
+    ])
+    def test_bad_plan_time_is_a_value_error_at_load(self, bad):
+        from cedr.engine import pipeline_from_obj
+
+        with pytest.raises(ValueError):
+            plan_from_obj(bad)
+        with pytest.raises(ValueError):
+            pipeline_from_obj({"plan": bad})
+
+    @pytest.mark.parametrize("plan", [
+        SequenceOp((Leaf("A"), Leaf("B")), 2.5),
+        SequenceOp((Leaf("A"), Leaf("B")), True),
+        SliceOp(Leaf("A"), occ=(0, -1)),
+    ])
+    def test_bad_plan_time_is_a_value_error_at_dump(self, plan):
+        # Never written as another, valid plan (2.5 as 2, True as 1).
+        with pytest.raises(ValueError):
+            plan_dumps(plan)
+
     def test_non_plan_node_is_a_type_error(self):
         with pytest.raises(TypeError):
             plan_to_obj(("not", "a", "node"))

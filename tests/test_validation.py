@@ -3,9 +3,10 @@
 Input from outside the process (JSON lines, ``cedr run``, the public
 constructors and ``OperatorInstance.ingest``) is checked in full.  Inside a
 pipeline, rows and events are rebuilt from fields that are valid by
-construction, through the unchecked ``_trusted`` constructors; these tests
-show that every such build equals what the checking constructor makes of
-the same fields, and that a pipeline no longer re-checks what it built.
+construction, through the unchecked ``_trusted`` constructors, and so are
+the merged operators' output events; these tests show that every such
+build equals what the checking constructor makes of the same fields, and
+that a pipeline no longer re-checks what it built.
 """
 
 import json
@@ -35,7 +36,15 @@ from cedr.patterns import PatternEvent, primitive
 from cedr.query import compile_query, parse
 from cedr.temporal import INF, Payload, TritemporalEvent, UnitemporalEvent
 
-from engine_harness import encode_stream, gen_pattern
+from engine_harness import (
+    encode_ports,
+    encode_stream,
+    gen_pattern,
+    gen_unitemporal,
+    honest_schedule,
+    module_under_test,
+    run_module,
+)
 
 QUERIES = [
     ("EVENT q WHEN UNLESS(SEQUENCE(A x, B AS y, 12), C AS z, 4) "
@@ -54,22 +63,33 @@ PLANS = [compile_query(parse(src).ast).plan for src in QUERIES]
 TRUSTED_SITES = {"_composite", "_pass_through", "_restamp", "_out_row", "_wire",
                  "pattern_event_from_row", "pattern_event_to_row", "_postprocess"}
 
+# The same for the merged operators, which build UnitemporalEvents.
+MERGED_UNDER_TEST = ("union", "difference", "groupby", "join", "project")
+TRUSTED_MERGED_SITES = {"_restamp", "_out_row", "merged_event_from_row", "coalesce_star",
+                        "union", "difference", "groupby_aggregate", "join", "project"}
+
 
 @contextmanager
 def checked_trusted_builds(sites: set):
     """Make every ``_trusted`` build also run the checking constructor.
 
     The checking constructor raises on invalid fields; the two results must
-    be equal.  ``sites`` collects the names of the calling functions.
+    be equal, also in the fields equality skips (``UnitemporalEvent.id``).
+    ``sites`` collects the names of the calling functions; a comprehension
+    counts as the function it runs in.
     """
     saved = []
-    for cls in (TritemporalEvent, PatternEvent):
+    for cls in (TritemporalEvent, PatternEvent, UnitemporalEvent):
         trusted = cls._trusted
 
         def build(*fields, cls=cls, trusted=trusted):
             built = trusted(*fields)
-            assert built == cls(*fields), (cls.__name__, fields)
-            sites.add(sys._getframe(1).f_code.co_name)
+            checked = cls(*fields)
+            assert built == checked and repr(built) == repr(checked), (cls.__name__, fields)
+            frame = sys._getframe(1)
+            while frame.f_code.co_name.startswith("<"):
+                frame = frame.f_back
+            sites.add(frame.f_code.co_name)
             return built
 
         saved.append((cls, trusted))
@@ -152,6 +172,84 @@ class TestTrustedBuilds:
         for r in out:
             assert r == TritemporalEvent(r.k, r.id, r.v_s, r.v_e, r.o_s, r.o_e, r.c_s, r.c_e,
                                          Payload(r.payload.pairs))
+
+
+class MergedChain:
+    """``union(A, B) -> difference(., C) -> groupby(count by g)``.
+
+    Wired as a pipeline wires its nodes: one arrival clock, each output fed
+    to the parent, each output guarantee declared on the parent.
+    """
+
+    def __init__(self, level):
+        clock = [0]
+
+        def node(kind, **params):
+            return OperatorInstance(build_module(kind, **params), level, name=kind,
+                                    clock=clock)
+
+        union, difference, groupby = self.nodes = (
+            node("union"), node("difference"), node("groupby", key=("g",), agg="count"))
+        self.parent = {union: (difference, 0), difference: (groupby, 0), groupby: None}
+        self.leaves = ((union, 0), (union, 1), (difference, 1))
+
+    def run(self, arrivals, schedule):
+        """Feed ``arrivals``, declaring ``honest_schedule``'s guarantees, then flush."""
+        marks = {}
+        for pos, port, threshold in schedule:
+            marks.setdefault(pos, []).append((port, threshold))
+        for i, (port, row) in enumerate([*arrivals, (None, None)]):
+            for port_g, threshold in marks.get(i, ()):
+                self.guarantee(*self.leaves[port_g], threshold)
+            if row is not None:
+                inst, inst_port = self.leaves[port]
+                self.forward(inst, inst.ingest(row, inst_port))
+        for inst in self.nodes:
+            self.forward(inst, inst.flush())
+
+    def forward(self, inst, rows):
+        if self.parent[inst] is not None:
+            parent, port = self.parent[inst]
+            for r in rows:
+                self.forward(parent, parent.ingest(r, port))
+
+    def guarantee(self, inst, port, threshold):
+        rows, promise = inst.declare_guarantee(threshold, port)
+        self.forward(inst, rows)
+        if self.parent[inst] is not None and promise is not None:
+            self.guarantee(*self.parent[inst], promise.threshold)
+
+
+class TestTrustedMergedBuilds:
+    def test_every_trusted_build_equals_the_checked_build(self):
+        sites: set = set()
+        retractions = []
+
+        @settings(derandomize=True, max_examples=120, deadline=None)
+        @given(kind=st.sampled_from(MERGED_UNDER_TEST + ("chain",)),
+               level=st.sampled_from((STRONG, MIDDLE, WEAK)),
+               seed=st.integers(0, 2**16))
+        def run(kind, level, seed):
+            rng = random.Random(seed)
+            arity = 3 if kind == "chain" else 2 if kind in ("union", "difference", "join") else 1
+            ideal = tuple(gen_unitemporal(rng, 6) for _ in range(arity))
+            for events in ideal:
+                temporal.coalesce_star(events)
+            arrivals = encode_ports(ideal, rng, skew=4, retract_prob=0.3)
+            schedule = honest_schedule(arrivals, 3)
+            if kind == "chain":
+                chain = MergedChain(level)
+                chain.run(arrivals, schedule)
+                instances = chain.nodes
+            else:
+                instances = [run_module(module_under_test(kind), arrivals, level,
+                                        schedule)[0]]
+            retractions.append(sum(i.retraction_rows for i in instances))
+
+        with checked_trusted_builds(sites):
+            run()
+        assert sites == TRUSTED_MERGED_SITES
+        assert sum(retractions) > 0  # kill and shrink rows were built too
 
 
 class TestNoInternalRechecks:
