@@ -107,6 +107,13 @@ def _level_from_args(args) -> ConsistencyLevel:
                             level.blocking if args.block is None else args.block)
 
 
+def _print_diagnostics(path: str, diagnostics) -> None:
+    """Each diagnostic as ``path:line:col: severity: message (hint)``."""
+    for d in diagnostics:
+        hint = f" ({d.hint})" if d.hint else ""
+        print(f"{path}:{d.line}:{d.col}: {d.severity}: {d.message}{hint}", file=sys.stderr)
+
+
 def _parse_file(path: str):
     """The AST of the query in ``path``; exits 2 if unreadable, 1 on errors."""
     try:
@@ -116,8 +123,7 @@ def _parse_file(path: str):
         print(f"error: {path}: {exc.strerror}", file=sys.stderr)
         raise SystemExit(IO_FAILURE)
     parsed = parse(source)
-    for d in parsed.diagnostics:
-        print(f"{path}:{d.render()}", file=sys.stderr)
+    _print_diagnostics(path, parsed.diagnostics)
     if not parsed.ok:
         raise SystemExit(DIAGNOSTICS)
     return parsed.ast
@@ -126,8 +132,7 @@ def _parse_file(path: str):
 def _compile_from_file(query_path: str, ticks_per_minute: int):
     ast = _parse_file(query_path)
     compiled = compile_query(ast, ticks_per_minute)
-    for d in compiled.diagnostics:
-        print(f"{query_path}:{d.render()}", file=sys.stderr)
+    _print_diagnostics(query_path, compiled.diagnostics)
     if not compiled.ok:
         raise SystemExit(DIAGNOSTICS)
     return ast, compiled.plan

@@ -12,10 +12,12 @@ import json
 from typing import Iterable
 
 from .temporal import (
+    INF,
     HistoryTable,
     Payload,
     TritemporalEvent,
     UnitemporalEvent,
+    _check_intervals,
     fmt_time,
     parse_time,
 )
@@ -50,17 +52,19 @@ def event_to_obj(e: TritemporalEvent) -> dict:
 
 
 def event_from_obj(obj: dict) -> TritemporalEvent:
+    # Each field is read and checked once, in the checking constructor's
+    # order, so a bad line fails on the same check with the same message.
     try:
-        return TritemporalEvent(
-            k=obj["k"], id=obj["id"],
-            v_s=parse_time(obj["vs"], "vs"), v_e=parse_time(obj["ve"], "ve"),
-            o_s=parse_time(obj["os"], "os"), o_e=parse_time(obj["oe"], "oe"),
-            c_s=parse_time(obj["cs"], "cs"),
-            c_e=parse_time(obj.get("ce", "inf"), "ce"),
-            payload=payload_from_obj(obj.get("payload", {})),
-        )
+        k, eid = obj["k"], obj["id"]
+        v_s, v_e = parse_time(obj["vs"], "vs"), parse_time(obj["ve"], "ve")
+        o_s, o_e = parse_time(obj["os"], "os"), parse_time(obj["oe"], "oe")
+        c_s = parse_time(obj["cs"], "cs")
+        c_e = parse_time(obj.get("ce", "inf"), "ce")
+        payload = payload_from_obj(obj.get("payload", {}))
     except KeyError as exc:
         raise ValueError(f"missing field {exc.args[0]!r}") from exc
+    _check_intervals(v_s, v_e, o_s, o_e, c_s, c_e)
+    return TritemporalEvent._trusted(k, eid, v_s, v_e, o_s, o_e, c_s, c_e, payload)
 
 
 def unievent_to_obj(e: UnitemporalEvent) -> dict:
@@ -70,16 +74,20 @@ def unievent_to_obj(e: UnitemporalEvent) -> dict:
 
 def unievent_from_obj(obj: dict) -> UnitemporalEvent:
     try:
-        return UnitemporalEvent(
-            parse_time(obj["vs"], "vs"), parse_time(obj["ve"], "ve"),
-            payload_from_obj(obj.get("payload", {})), id=obj.get("id", ""))
+        v_s, v_e = parse_time(obj["vs"], "vs"), parse_time(obj["ve"], "ve")
+        payload = payload_from_obj(obj.get("payload", {}))
     except KeyError as exc:
         raise ValueError(f"missing field {exc.args[0]!r}") from exc
+    if v_s >= v_e:
+        raise ValueError(f"valid interval empty: [{v_s}, {v_e})")
+    return UnitemporalEvent._trusted(v_s, v_e, payload, obj.get("id", ""))
 
 
 def _parse_lines(text: str, from_obj):
     rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # "\n" only: str.splitlines() also breaks at characters, such as U+2028,
+    # that JSON allows raw inside strings.  A trailing "\r" is whitespace.
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -96,11 +104,42 @@ def loads_events(text: str) -> list[TritemporalEvent]:
     return _parse_lines(text, event_from_obj)
 
 
+# allow_nan=False: a payload with a non-finite float is an error here, not
+# a silently invalid JSON document.
+_encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
+
+
+class _PayloadTexts(dict):
+    """Payload -> its JSON text, each encoded on first use.
+
+    Equal payloads have equal text: names are sorted, values typed, and
+    floats compare bitwise.
+    """
+
+    def __missing__(self, payload: Payload) -> str:
+        text = self[payload] = _encode(dict(payload.pairs))
+        return text
+
+
 def dumps_events(rows: Iterable[TritemporalEvent]) -> str:
-    # allow_nan=False: a payload with a non-finite float is an error here,
-    # not a silently invalid JSON document.
-    return "".join(json.dumps(event_to_obj(r), sort_keys=True, allow_nan=False) + "\n"
-                   for r in rows)
+    """One JSON line per row, formatted directly.
+
+    The bytes are those of ``json.dumps(event_to_obj(row), sort_keys=True,
+    allow_nan=False)``: keys sorted, default separators, each time
+    ``"inf"`` or its int, and each distinct payload encoded once.
+    """
+    payloads = _PayloadTexts()
+    inf = '"inf"'
+    return "".join(
+        f'{{"ce": {inf if r.c_e == INF else int(r.c_e)}, '
+        f'"cs": {inf if r.c_s == INF else int(r.c_s)}, '
+        f'"id": {_encode(r.id)}, "k": {_encode(r.k)}, '
+        f'"oe": {inf if r.o_e == INF else int(r.o_e)}, '
+        f'"os": {inf if r.o_s == INF else int(r.o_s)}, '
+        f'"payload": {payloads[r.payload]}, '
+        f'"ve": {inf if r.v_e == INF else int(r.v_e)}, '
+        f'"vs": {inf if r.v_s == INF else int(r.v_s)}}}\n'
+        for r in rows)
 
 
 def read_events(path: str) -> list[TritemporalEvent]:

@@ -65,6 +65,8 @@ def fmt_time(t: Time) -> int | str:
 
 
 def parse_time(value: object, name: str = "timestamp") -> Time:
+    if type(value) is int and value >= 0:
+        return value
     if value == "inf":
         return INF
     if isinstance(value, int) and not isinstance(value, bool):
@@ -203,16 +205,7 @@ class TritemporalEvent:
     def __post_init__(self):
         for name in ("v_s", "v_e", "o_s", "o_e", "c_s", "c_e"):
             check_time(getattr(self, name), name)
-        if self.o_s > self.o_e:
-            raise ValueError(f"occurrence interval reversed: [{self.o_s}, {self.o_e})")
-        if self.c_s > self.c_e:
-            raise ValueError(f"arrival interval reversed: [{self.c_s}, {self.c_e})")
-        if self.o_s == self.o_e:
-            # Full-removal rows may carry a degenerate valid interval.
-            if self.v_s > self.v_e:
-                raise ValueError(f"valid interval reversed: [{self.v_s}, {self.v_e})")
-        elif self.v_s >= self.v_e:
-            raise ValueError(f"valid interval empty: [{self.v_s}, {self.v_e})")
+        _check_intervals(self.v_s, self.v_e, self.o_s, self.o_e, self.c_s, self.c_e)
 
     @property
     def sort_key(self) -> tuple:
@@ -223,6 +216,21 @@ class TritemporalEvent:
         """The row minus its arrival columns (and optionally its lineage key)."""
         head = (self.k,) if include_lineage else ()
         return head + (self.id, self.v_s, self.v_e, self.o_s, self.o_e, self.payload)
+
+
+def _check_intervals(v_s: Time, v_e: Time, o_s: Time, o_e: Time,
+                     c_s: Time, c_e: Time) -> None:
+    """The interval rules of a row whose six times are already checked."""
+    if o_s > o_e:
+        raise ValueError(f"occurrence interval reversed: [{o_s}, {o_e})")
+    if c_s > c_e:
+        raise ValueError(f"arrival interval reversed: [{c_s}, {c_e})")
+    if o_s == o_e:
+        # Full-removal rows may carry a degenerate valid interval.
+        if v_s > v_e:
+            raise ValueError(f"valid interval reversed: [{v_s}, {v_e})")
+    elif v_s >= v_e:
+        raise ValueError(f"valid interval empty: [{v_s}, {v_e})")
 
 
 def _trusted_constructor(cls):
@@ -448,8 +456,9 @@ def truncate(h: HistoryTable, t0: Time) -> HistoryTable:
         if o_e == row.o_s:
             continue
         if o_e != row.o_e:
-            row = TritemporalEvent(row.k, row.id, row.v_s, row.v_e,
-                                   row.o_s, o_e, row.c_s, row.c_e, row.payload)
+            # o_s < t0 < o_e: the clamped row stays live, and valid.
+            row = TritemporalEvent._trusted(row.k, row.id, row.v_s, row.v_e,
+                                            row.o_s, o_e, row.c_s, row.c_e, row.payload)
         out.append(row)
     return HistoryTable(out)
 

@@ -329,7 +329,19 @@ class TestParseCommand:
         q = tmp_path / "q.cedr"
         q.write_text("EVENT WHEN")
         assert main(["parse", "--query", str(q)]) == 1
-        assert capsys.readouterr().err.startswith(f"{q}:error: 1:7: ")
+        assert capsys.readouterr().err.startswith(f"{q}:1:7: error: ")
+
+    def test_compile_diagnostics_name_path_line_and_column(self, tmp_path, capsys):
+        q = tmp_path / "q.cedr"
+        q.write_text("EVENT q WHEN SEQUENCE(A x, B y, 10) WHERE {x.a = z.a}")
+        assert main(["run", "--query", str(q)]) == 1
+        assert capsys.readouterr().err == (
+            f"{q}:1:1: error: unbound variable(s): z "
+            "(bind the variable with AS in the WHEN clause)\n")
+        q.write_text("EVENT q WHEN A x WHERE CorrelationKey(a, EQUAL)")
+        assert main(["run", "--query", str(q)]) == 0
+        assert capsys.readouterr().err == (
+            f"{q}:1:1: warning: CorrelationKey(a) needs two bound variables\n")
 
     @pytest.mark.parametrize("command", ["parse", "run"])
     def test_unreadable_query_exit_two(self, tmp_path, capsys, command):

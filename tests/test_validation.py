@@ -36,6 +36,8 @@ from cedr.patterns import PatternEvent, primitive
 from cedr.query import compile_query, parse
 from cedr.temporal import INF, Payload, TritemporalEvent, UnitemporalEvent
 
+from perfbench import gen
+
 from engine_harness import (
     encode_ports,
     encode_stream,
@@ -172,6 +174,42 @@ class TestTrustedBuilds:
         for r in out:
             assert r == TritemporalEvent(r.k, r.id, r.v_s, r.v_e, r.o_s, r.o_e, r.c_s, r.c_e,
                                          Payload(r.payload.pairs))
+
+
+def disordered_tables():
+    """``perfbench.gen``'s wire streams, each as one history table."""
+    for seed in (1, 2):
+        for part in (0, 1):
+            for wire in (gen.cidr07_inputs(seed, 90, part)[1],
+                         gen.rollup_inputs(seed, 30, part)[1]):
+                yield from (temporal.HistoryTable(rows) for rows in wire.values())
+
+
+class TestTrustedEdgeBuilds:
+    def test_decoded_rows_equal_the_checked_build(self):
+        # What the reader builds unchecked equals the checking constructor's
+        # build of the same fields, which it also makes here.
+        sites: set = set()
+        texts = [dumps_events(table.sorted_rows()) for table in disordered_tables()]
+        with checked_trusted_builds(sites):
+            decoded = [loads_events(text) for text in texts]
+        assert sites == {"event_from_obj"}
+        assert [dumps_events(rows) for rows in decoded] == texts
+
+    def test_truncated_rows_equal_the_checked_build(self):
+        sites: set = set()
+        clamped = 0
+        tables = list(disordered_tables())
+        with checked_trusted_builds(sites):
+            for table in tables:
+                starts = sorted({r.o_s for r in table})
+                for t0 in starts[::max(1, len(starts) // 6)]:
+                    for canon in (temporal.canonical_to(table, t0),
+                                  temporal.canonical_at(table, t0)):
+                        clamped += sum(r.o_e == t0 for r in canon)
+                temporal.canonical_to(table, INF)
+        assert sites == {"truncate"}
+        assert clamped > 100
 
 
 class MergedChain:
