@@ -74,13 +74,11 @@ def unievent_to_obj(e: UnitemporalEvent) -> dict:
 
 def unievent_from_obj(obj: dict) -> UnitemporalEvent:
     try:
-        v_s, v_e = parse_time(obj["vs"], "vs"), parse_time(obj["ve"], "ve")
-        payload = payload_from_obj(obj.get("payload", {}))
+        return UnitemporalEvent(
+            parse_time(obj["vs"], "vs"), parse_time(obj["ve"], "ve"),
+            payload_from_obj(obj.get("payload", {})), id=obj.get("id", ""))
     except KeyError as exc:
         raise ValueError(f"missing field {exc.args[0]!r}") from exc
-    if v_s >= v_e:
-        raise ValueError(f"valid interval empty: [{v_s}, {v_e})")
-    return UnitemporalEvent._trusted(v_s, v_e, payload, obj.get("id", ""))
 
 
 def _parse_lines(text: str, from_obj):
@@ -109,26 +107,13 @@ def loads_events(text: str) -> list[TritemporalEvent]:
 _encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
 
 
-class _PayloadTexts(dict):
-    """Payload -> its JSON text, each encoded on first use.
-
-    Equal payloads have equal text: names are sorted, values typed, and
-    floats compare bitwise.
-    """
-
-    def __missing__(self, payload: Payload) -> str:
-        text = self[payload] = _encode(dict(payload.pairs))
-        return text
-
-
 def dumps_events(rows: Iterable[TritemporalEvent]) -> str:
     """One JSON line per row, formatted directly.
 
     The bytes are those of ``json.dumps(event_to_obj(row), sort_keys=True,
-    allow_nan=False)``: keys sorted, default separators, each time
-    ``"inf"`` or its int, and each distinct payload encoded once.
+    allow_nan=False)``: keys sorted, default separators, and each time
+    ``"inf"`` or its int.
     """
-    payloads = _PayloadTexts()
     inf = '"inf"'
     return "".join(
         f'{{"ce": {inf if r.c_e == INF else int(r.c_e)}, '
@@ -136,7 +121,7 @@ def dumps_events(rows: Iterable[TritemporalEvent]) -> str:
         f'"id": {_encode(r.id)}, "k": {_encode(r.k)}, '
         f'"oe": {inf if r.o_e == INF else int(r.o_e)}, '
         f'"os": {inf if r.o_s == INF else int(r.o_s)}, '
-        f'"payload": {payloads[r.payload]}, '
+        f'"payload": {_encode(dict(r.payload.pairs))}, '
         f'"ve": {inf if r.v_e == INF else int(r.v_e)}, '
         f'"vs": {inf if r.v_s == INF else int(r.v_s)}}}\n'
         for r in rows)

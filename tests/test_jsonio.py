@@ -126,6 +126,14 @@ class TestLineSplitting:
         with pytest.raises(LineFormatError, match=r"^line 1: Extra data"):
             loads_events(text)
 
+    def test_files_are_read_with_universal_newlines(self, tmp_path):
+        # read_events opens files in text mode, which turns a bare "\r"
+        # into "\n" before the lines are split.
+        rows = gen.clean_pattern_stream(1, 2)
+        path = tmp_path / "cr.jsonl"
+        path.write_bytes(dumps_events(rows).replace("\n", "\r").encode())
+        assert jsonio.read_events(str(path)) == rows
+
     def test_blank_lines_are_skipped(self):
         rows = gen.clean_pattern_stream(1, 2)
         text = "\n  \n" + dumps_events(rows[:1]) + "\t\n" + dumps_events(rows[1:]) + "\n"
