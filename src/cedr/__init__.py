@@ -54,7 +54,6 @@ from .patterns import (
     not_seq,
     primitive,
     sequence,
-    slice_table,
     unless,
 )
 from .query import compile_query, format_query, parse

@@ -79,9 +79,15 @@ def reencode(rows: list[TritemporalEvent], retract_prob: float,
 
 
 def restamp_arrivals(rows: list[TritemporalEvent]) -> list[TritemporalEvent]:
-    """Rewrite arrival starts to the row's position in the stream."""
+    """Rewrite arrival starts to the row's position in the stream.
+
+    A TritemporalEvent was validated when it was built, and a position is a
+    valid tick before ``INF``, so it is rebuilt unchecked; any other object
+    is checked.
+    """
     return [
-        TritemporalEvent(r.k, r.id, r.v_s, r.v_e, r.o_s, r.o_e, i, INF, r.payload)
+        (TritemporalEvent._trusted if type(r) is TritemporalEvent else TritemporalEvent)(
+            r.k, r.id, r.v_s, r.v_e, r.o_s, r.o_e, i, INF, r.payload)
         for i, r in enumerate(rows)
     ]
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple
 
@@ -31,7 +31,6 @@ from . import algebra, patterns
 from .patterns import (
     EVERY,
     PatternEvent,
-    SliceOp,
     make_accept,
     make_blocks,
     make_partition,
@@ -353,7 +352,6 @@ class OperatorInstance:
         self._clock = clock if clock is not None else [0]
         check_time(self._clock[0], "clock")
         self._max_seen: Time = NEG
-        self._dirty = False
         self._pending_switch_rows: list[tuple] = []
         self.blocking_time: Time = 0
         self.max_state_rows = 0
@@ -540,11 +538,8 @@ class OperatorInstance:
                 # applied within the same ingestion step that admitted it.
                 self.blocking_time += max(0, self._clock[0] - b.row.c_s - 1)
                 self._apply(b)
-            self._dirty = True
-        must = self._dirty or (frontier_moved and self.level.blocking == INF)
-        if not must:
+        elif not (frontier_moved and self.level.blocking == INF):
             return []
-        self._dirty = False
         return self._reconcile()
 
     def _apply(self, b: _Buffered) -> None:
@@ -840,9 +835,10 @@ class Pipeline:
 
     Rows fed to a named stream pass through every leaf reading it; each
     instance's output is the next one's input.  Slice and projection
-    wrappers at the plan root are applied row-wise to emitted rows.  The
-    whole pipeline shares one arrival clock and one lineage store, so
-    predicate injection can resolve contributor references anywhere.
+    wrappers at the plan root run inside the root operator's module, so
+    its reconcile diffs, keys and counts the events they give.  The whole
+    pipeline shares one arrival clock and one lineage store, so predicate
+    injection can resolve contributor references anywhere.
     """
 
     def __init__(self, plan, level: ConsistencyLevel = MIDDLE,
@@ -850,11 +846,6 @@ class Pipeline:
         self.plan = plan
         self._store: dict = {}
         self._clock = [0]
-        self._post: list = []
-        while patterns.node_kind(plan).wrapper:
-            self._post.append(plan)
-            plan = plan.child
-        self._post.reverse()
         self._nodes: list[_Node] = []
         self._leaves: dict[str, list[_Node]] = {}
         self._counter = 0
@@ -863,15 +854,30 @@ class Pipeline:
         self.outputs: list[TritemporalEvent] = []
 
     def _build(self, plan, parent, parent_port, level, node_levels) -> _Node:
+        kind = patterns.node_kind(plan)
+        wrappers = []  # the root's slice and projection wrappers, innermost first
+        while parent is None and kind.wrapper:
+            wrappers.insert(0, (kind.run, patterns.node_params(plan)))
+            plan = plan.child
+            kind = patterns.node_kind(plan)
         name = f"{type(plan).__name__.lower()}{self._counter}"
         self._counter += 1
-        kind = patterns.node_kind(plan)
         if kind.wrapper:
             raise TypeError(f"cannot build an operator for plan node {plan!r}")
         module = build_module(kind.tag, accept=make_accept(plan, self._store),
                               blocks=make_blocks(plan, self._store),
                               partition=make_partition(plan, self._store),
                               **patterns.node_params(plan))
+        if wrappers:
+            evaluate = module.evaluate
+
+            def wrapped(ports, store):
+                out = evaluate(ports, store)
+                for run, params in wrappers:
+                    out = run(params, (out,), None, None)
+                return out
+
+            module = replace(module, evaluate=wrapped)
         instance = OperatorInstance(module, node_levels.get(name, level),
                                     name=name, store=self._store, clock=self._clock)
         node = _Node(instance, parent, parent_port)
@@ -933,8 +939,7 @@ class Pipeline:
     def _forward(self, node: _Node, out: list[tuple]) -> list[TritemporalEvent]:
         """Hand each (row, event) output to the parent, or release it in wire form."""
         if node.parent is None:
-            return [released for row, e in out
-                    if (released := self._postprocess(_wire(row, e))) is not None]
+            return _wire_all(out)
         parent, port = node.parent, node.parent_port
         released = []
         for row, e in out:
@@ -949,19 +954,6 @@ class Pipeline:
             released.extend(self._propagate_guarantee(
                 node.parent, node.parent_port, out_g.threshold))
         return released
-
-    def _postprocess(self, row: TritemporalEvent) -> TritemporalEvent | None:
-        for wrapper in self._post:
-            if isinstance(wrapper, SliceOp):
-                row = patterns.slice_row(row, wrapper.occ, wrapper.valid)
-                if row is None:
-                    return None
-            else:
-                keep = set(wrapper.attrs) | set(RESERVED_ATTRS)
-                payload = Payload([(n, v) for n, v in row.payload.pairs if n in keep])
-                row = TritemporalEvent._trusted(row.k, row.id, row.v_s, row.v_e, row.o_s,
-                                                row.o_e, row.c_s, row.c_e, payload)
-        return row
 
 
 def _level_from_obj(obj: dict) -> ConsistencyLevel:

@@ -29,12 +29,10 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .temporal import (
     INF,
     EMPTY_PAYLOAD,
-    HistoryTable,
     Payload,
     Scalar,
     TemporalError,
     Time,
-    TritemporalEvent,
     _trusted_constructor,
     check_time,
     concat_payloads,
@@ -725,47 +723,26 @@ def _clip(lo: Time, hi: Time, s: Time, e: Time) -> tuple[Time, Time] | None:
     return (cs, ce) if cs < ce else None
 
 
-def _slice_axes(e, occ: tuple[Time, Time] | None, valid: tuple[Time, Time] | None):
-    """``e``'s occurrence and valid intervals clipped to the slices, or None."""
-    o, v = (e.o_s, e.o_e), (e.v_s, e.v_e)
-    if occ is not None:
-        o = _clip(occ[0], occ[1], *o)
-        if o is None:
-            return None
-    if valid is not None:
-        v = _clip(valid[0], valid[1], *v)
-        if v is None:
-            return None
-    return o, v
-
-
 def slice_pattern_events(events: Iterable[PatternEvent],
                          occ: tuple[Time, Time] | None = None,
                          valid: tuple[Time, Time] | None = None) -> frozenset[PatternEvent]:
+    """Keep events whose intervals intersect the slices, clipped to them.
+
+    With its bounds checked, a slice clips a valid event to a valid one, so
+    each is built unchecked.
+    """
+    for bound in (*(occ or ()), *(valid or ())):
+        check_time(bound, "slice bound")
     out = []
     for e in events:
-        axes = _slice_axes(e, occ, valid)
-        if axes is not None:
-            (o_s, o_e), (v_s, v_e) = axes
-            out.append(PatternEvent(e.id, v_s, v_e, o_s, o_e,
-                                    rt=min(e.rt, v_s), cbt=e.cbt, payload=e.payload))
+        o, v = (e.o_s, e.o_e), (e.v_s, e.v_e)
+        if occ is not None and (o := _clip(occ[0], occ[1], *o)) is None:
+            continue
+        if valid is not None and (v := _clip(valid[0], valid[1], *v)) is None:
+            continue
+        out.append(PatternEvent._trusted(e.id, v[0], v[1], o[0], o[1], min(e.rt, v[0]),
+                                         e.cbt, e.payload))
     return frozenset(out)
-
-
-def slice_row(r: TritemporalEvent, occ: tuple[Time, Time] | None = None,
-              valid: tuple[Time, Time] | None = None) -> TritemporalEvent | None:
-    """``r`` clipped to the slices; None if it does not intersect them."""
-    axes = _slice_axes(r, occ, valid)
-    if axes is None:
-        return None
-    (o_s, o_e), (v_s, v_e) = axes
-    return TritemporalEvent(r.k, r.id, v_s, v_e, o_s, o_e, r.c_s, r.c_e, r.payload)
-
-
-def slice_table(h: HistoryTable, occ: tuple[Time, Time] | None = None,
-                valid: tuple[Time, Time] | None = None) -> HistoryTable:
-    """Keep rows whose intervals intersect the slices, clipped to them."""
-    return HistoryTable(s for r in h if (s := slice_row(r, occ, valid)) is not None)
 
 
 def project_payload(events: Iterable[PatternEvent],
@@ -774,7 +751,8 @@ def project_payload(events: Iterable[PatternEvent],
     out = []
     for e in events:
         payload = Payload([(a, e.payload[a]) for a in keep if a in e.payload])
-        out.append(replace(e, payload=payload))
+        out.append(PatternEvent._trusted(e.id, e.v_s, e.v_e, e.o_s, e.o_e, e.rt, e.cbt,
+                                         payload))
     return frozenset(out)
 
 
@@ -898,15 +876,17 @@ class NodeKind:
     """The facts that differ between plan-node kinds.
 
     ``tag`` is the kind's wire ``type`` and, for a kind with an engine
-    module, its :func:`engine.build_module` kind.  ``run`` is the kind's pure operator on its parameters (``w``, ``k``,
-    ``n`` and the raw fields, as :func:`node_params` gives them), its ports
-    and its hooks; :func:`evaluate_plan` and the engine both call it.  The
-    engine facts are functions of the same parameters: ``lag`` is how far an
-    output anchor can trail the inputs that settle it, and ``retire`` the
-    scope after which a retained input row can be forgotten, except on the
-    blocker port when ``keep_blocker`` is set.  A kind without ``lag`` has no
-    engine module: it is a wrapper a pipeline applies row-wise at its root.
-    ``partition`` gives :func:`make_partition`'s keys.
+    module, its :func:`engine.build_module` kind.  ``run`` is the kind's
+    pure operator on its parameters (``w``, ``k``, ``n`` and the raw
+    fields, as :func:`node_params` gives them), its ports and its hooks;
+    :func:`evaluate_plan` and the engine both call it.  The engine facts
+    are functions of the same parameters: ``lag`` is how far an output
+    anchor can trail the inputs that settle it, and ``retire`` the scope
+    after which a retained input row can be forgotten, except on the
+    blocker port when ``keep_blocker`` is set.  A kind without ``lag`` has
+    no engine module of its own: it is a wrapper, which a pipeline allows
+    only at its root and runs inside the root operator's module, on that
+    operator's output.  ``partition`` gives :func:`make_partition`'s keys.
 
     The rest is derived from the field roles of ``cls``.  ``children_of``
     gives a node's operands without the blocker, and ``ports_of`` all of

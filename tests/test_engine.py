@@ -101,6 +101,16 @@ class TestBuildModule:
             build_module(kind, k=2, w=5)
 
 
+class TestInstanceSize:
+    @pytest.mark.parametrize("kind", ["union", "unless"])
+    def test_instance_keeps_the_shared_key_dict(self, kind):
+        # With a 30th attribute, CPython 3.11 gives each instance its own
+        # key table (vars() grows from 296 to 1584 bytes), which measured
+        # as a slowdown.
+        params = {"w": 5} if kind == "unless" else {}
+        assert len(vars(OperatorInstance(build_module(kind, **params)))) <= 29
+
+
 # Written from the per-kind module builders that the merged-kind table
 # replaced: (arity, lag, coalescing, keeps all history, required parameters).
 MERGED_MODULE_FACTS = {
@@ -737,6 +747,33 @@ class TestPipelineCrossLevel:
                     results.append(got)
                 assert results[0] == results[1] == results[2]
 
+    def test_wrapped_plans_count_the_rows_they_release(self):
+        # The root's slice and projection run inside its module, so its
+        # metrics count the rows the pipeline releases, and no more.
+        from cedr.disorder import rows_from_pattern
+        from cedr.query import compile_query, leaf_streams, parse
+
+        from engine_harness import encode_stream, gen_pattern
+
+        for src in self.QUERY_PLAN_SOURCES:
+            parsed = parse(src)
+            if parsed.ast.output is None and parsed.ast.slices is None:
+                continue
+            plan = compile_query(parsed.ast).plan
+            for trial in range(4):
+                rng = random.Random(f"wrapped-{src[:24]}-{trial}")
+                rows = {name: encode_stream(rows_from_pattern(
+                            gen_pattern(rng, f"{name}_", 6), key_prefix=f"{name}k"),
+                            rng, skew=rng.randint(0, 5), retract_prob=0.5)
+                        for name in leaf_streams(parsed.ast)}
+                for level in (STRONG, MIDDLE, WEAK):
+                    pipe = self._drive(plan, rows, level)
+                    keys = [r.k for r in pipe.outputs]
+                    total = pipe.metrics()["total"]
+                    assert total["output_rows"] == len(keys), (src, trial, level)
+                    assert total["retraction_rows"] == len(keys) - len(set(keys)), (
+                        src, trial, level)
+
     PARTITION_CASES = {
         "missing attribute": (
             "EVENT q WHEN UNLESS(SEQUENCE(A x, B AS y, 12), C AS z, 4) "
@@ -1297,6 +1334,23 @@ class TestSlicedRetractions:
             PatternEvent("b1", 4, 40, 4, INF, rt=4), "KB", 0))
         pipe.flush()
         assert [(r.v_s, r.v_e) for r in pipe.outputs] == [(4, 12)]
+
+    @pytest.mark.parametrize("level", [STRONG, MIDDLE, WEAK], ids=["strong", "middle", "weak"])
+    def test_valid_slice_keeps_a_leafs_root_time(self, level):
+        # Raising a primitive event's v_s leaves its root time below the new
+        # start, so the row spells it out in @rt, as the denotation's does.
+        from cedr.disorder import rows_from_pattern
+        from cedr.patterns import SliceOp, evaluate_plan, primitive
+
+        plan = SliceOp(Leaf("A", "x"), valid=(5, 9))
+        a1 = primitive("a1", 2, 10, payload={"m": 1})
+        pipe = Pipeline(plan, level)
+        pipe.feed("A", pattern_event_to_row(a1, "K1", 0))
+        pipe.flush()
+        assert [dict(r.payload.pairs) for r in pipe.outputs] == [
+            {"m": 1, "@rt": 2, "@cbt": "[]"}]
+        want = rows_from_pattern(evaluate_plan(plan, {"A": [a1]}), key_prefix="o")
+        assert content_set(pipe.outputs) == content_set(want)
 
 
 class TestSharedStableKey:

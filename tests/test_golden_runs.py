@@ -1,4 +1,4 @@
-"""Output bytes pinned per run: ``cedr run`` and the stream commands.
+"""Output bytes pinned per run: ``cedr run``, the stream commands and a merged chain.
 
 Each case writes seeded ``perfbench.gen`` inputs as JSON lines, runs the
 ``cedr`` commands in process and compares the sha256 of every file they
@@ -6,6 +6,15 @@ read or write, and of ``--metrics``, with ``golden_runs.json``.  A change
 that keeps the output the same keeps every hash; one that changes a byte
 anywhere on the way (the JSON-lines writer, the reader, the engine, the
 metrics) fails the case that shows it.
+
+The ``cedr run`` cases cover the CIDR07 query on three seeds, two sizes,
+three levels and two guarantee rates, and four other operators on one
+input at each level.  The merged ``union -> difference -> groupby`` chain
+is driven as the ``rollup-strong`` benchmark drives it, and its output
+rows and metrics are hashed the same way.  Two queries with wrappers at
+the root (slices, and in one a projection) are pinned too; for them the
+tests also check that the output's content equals the denotation and that
+``--metrics`` counts the rows written.
 
 ``python tests/test_golden_runs.py`` prints the hashes as JSON, for
 writing the golden file from a tree whose output is the reference.
@@ -20,10 +29,12 @@ from pathlib import Path
 
 import pytest
 
-from cedr import jsonio
+from cedr import engine, jsonio, patterns, temporal
 from cedr.cli import main
+from cedr.disorder import rows_from_pattern
+from cedr.query import compile_query, parse
 
-from perfbench import gen
+from perfbench import gen, workloads
 
 GOLDEN_PATH = Path(__file__).parent / "golden_runs.json"
 
@@ -36,9 +47,41 @@ WHERE {x.Machine_Id = y.Machine_Id} AND
       {x.Machine_Id = z.Machine_Id}
 """
 
+LEVELS = ("strong", "middle", "weak")
 RUNS = [(seed, n, level, every)
         for seed in (1, 2, 1009) for n in (90, 240)
-        for level in ("strong", "middle", "weak") for every in (1, 20)]
+        for level in LEVELS for every in (1, 20)]
+
+# One input each (seed 1, 90 events, a guarantee every 20 arrivals).
+OTHER_QUERIES = {
+    "not": """\
+EVENT q
+WHEN NOT(RESTART AS z, SEQUENCE(INSTALL x, SHUTDOWN AS y, 30 minutes))
+""",
+    "atleast": """\
+EVENT q
+WHEN ATLEAST(2, INSTALL, SHUTDOWN, RESTART, 30 minutes)
+""",
+    "cancel-when": """\
+EVENT q
+WHEN CANCEL-WHEN(SEQUENCE(INSTALL x, SHUTDOWN AS y, 2 hours), RESTART AS z)
+WHERE {x.Machine_Id = y.Machine_Id} AND
+      {x.Machine_Id = z.Machine_Id}
+""",
+    "unless-unkeyed": """\
+EVENT q
+WHEN UNLESS(SEQUENCE(INSTALL x, SHUTDOWN AS y, 1 hours), RESTART AS z, 5 minutes)
+""",
+}
+QUERY_RUNS = [(name, level) for name in OTHER_QUERIES for level in LEVELS]
+
+# Root wrappers, on seed 1's 240-event input, a guarantee every 20 arrivals.
+WRAPPED_QUERIES = {
+    "cidr07": QUERY + "OUTPUT Machine_Id\n@ [100, 1500] # [200, 2000]\n",
+    "leaf": "EVENT q\nWHEN INSTALL x # [300, 2000]\n",
+}
+WRAPPED_RUNS = [(name, level) for name in WRAPPED_QUERIES for level in LEVELS]
+CHAIN_RUNS = [(seed, part) for seed in (1, 2, 1009) for part in range(4)]
 STREAM_SEEDS = (1, 2)
 STREAM_ROWS, FILE_ROWS = 1000, 100
 
@@ -47,10 +90,11 @@ def sha(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def run_hashes(workdir: Path, seed: int, n: int, level: str, every: int) -> dict:
-    """``cedr run`` of the CIDR07 query on ``gen.cidr07_inputs(seed, n, 0)``."""
+def run_hashes(workdir: Path, seed: int, n: int, level: str, every: int,
+               text: str = QUERY) -> dict:
+    """``cedr run`` of ``text`` (the CIDR07 query) on ``gen.cidr07_inputs(seed, n, 0)``."""
     query = workdir / "q.cedr"
-    query.write_text(QUERY, encoding="utf-8")
+    query.write_text(text, encoding="utf-8")
     _, wire = gen.cidr07_inputs(seed, n, 0)
     inputs = hashlib.sha256()
     argv = ["run", "--query", str(query), "--level", level,
@@ -101,16 +145,53 @@ def stream_hashes(workdir: Path, seed: int) -> dict:
     return {"exits": exits, **{kind: d.hexdigest() for kind, d in digests.items()}}
 
 
+def query_hashes(workdir: Path, name: str, level: str) -> dict:
+    return run_hashes(workdir, 1, 90, level, 20, OTHER_QUERIES[name])
+
+
+def wrapped_hashes(workdir: Path, name: str, level: str) -> dict:
+    return run_hashes(workdir, 1, 240, level, 20, WRAPPED_QUERIES[name])
+
+
+def chain_hashes(seed: int, part: int) -> dict:
+    """The ``rollup-strong`` chain at STRONG on ``gen.rollup_inputs(seed, 150, part)``."""
+    _, wire = gen.rollup_inputs(seed, workloads.ROLLUP_EVENTS_PER_STREAM, part)
+    feed = workloads.arrival_order(wire)
+    schedule = workloads.guarantee_schedule(feed, sorted(wire), workloads.GUARANTEE_EVERY)
+    chain = workloads.RollupChain(engine.STRONG)
+    workloads.drive(chain, feed, schedule, chain.flush)
+    metrics = json.dumps(chain.metrics(), sort_keys=True)
+    return {"output": hashlib.sha256(jsonio.dumps_events(chain.outputs).encode()).hexdigest(),
+            "metrics": hashlib.sha256(metrics.encode()).hexdigest()}
+
+
 def run_id(seed, n, level, every) -> str:
     return f"run/{seed}/{n}/{level}/{every}"
 
 
+def query_id(name, level) -> str:
+    return f"query/{name}/{level}"
+
+
+def chain_id(seed, part) -> str:
+    return f"chain/{seed}/{part}"
+
+
+def wrapped_id(name, level) -> str:
+    return f"wrapped/{name}/{level}"
+
+
 def all_hashes(workdir: Path) -> dict:
     out = {}
-    for case in RUNS:
-        case_dir = workdir / run_id(*case).replace("/", "-")
-        case_dir.mkdir()
-        out[run_id(*case)] = run_hashes(case_dir, *case)
+    for cases, case_id, hashes in ((RUNS, run_id, run_hashes),
+                                   (QUERY_RUNS, query_id, query_hashes),
+                                   (WRAPPED_RUNS, wrapped_id, wrapped_hashes)):
+        for case in cases:
+            case_dir = workdir / case_id(*case).replace("/", "-")
+            case_dir.mkdir()
+            out[case_id(*case)] = hashes(case_dir, *case)
+    for case in CHAIN_RUNS:
+        out[chain_id(*case)] = chain_hashes(*case)
     for seed in STREAM_SEEDS:
         case_dir = workdir / f"stream-{seed}"
         case_dir.mkdir()
@@ -128,6 +209,54 @@ def test_cedr_run_bytes(case, tmp_path, golden):
     assert run_hashes(tmp_path, *case) == golden[run_id(*case)]
 
 
+@pytest.mark.parametrize("case", QUERY_RUNS, ids=lambda case: query_id(*case))
+def test_other_query_bytes(case, tmp_path, golden):
+    assert query_hashes(tmp_path, *case) == golden[query_id(*case)]
+
+
+@pytest.mark.parametrize("case", CHAIN_RUNS, ids=lambda case: chain_id(*case))
+def test_merged_chain_bytes(case, golden):
+    assert chain_hashes(*case) == golden[chain_id(*case)]
+
+
+@pytest.fixture(scope="module")
+def wrapped_runs(tmp_path_factory):
+    """Each wrapped run's hashes, output rows, ``--metrics`` and denotation."""
+    _, wire = gen.cidr07_inputs(1, 240, 0)
+    surviving = {stream: [engine.pattern_event_from_row(r) for r in
+                          temporal.canonical_to(temporal.HistoryTable(rows), temporal.INF)]
+                 for stream, rows in wire.items()}
+    runs = {}
+    for name, level in WRAPPED_RUNS:
+        workdir = tmp_path_factory.mktemp(f"wrapped-{name}-{level}")
+        hashes = wrapped_hashes(workdir, name, level)
+        plan = compile_query(parse(WRAPPED_QUERIES[name]).ast, 1).plan
+        want = rows_from_pattern(patterns.evaluate_plan(plan, surviving), key_prefix="o")
+        runs[name, level] = (hashes, jsonio.read_events(str(workdir / "out.jsonl")),
+                             json.loads((workdir / "metrics.json").read_text("utf-8")), want)
+    return runs
+
+
+@pytest.mark.parametrize("case", WRAPPED_RUNS, ids=lambda case: wrapped_id(*case))
+def test_wrapped_query_bytes(case, wrapped_runs, golden):
+    assert wrapped_runs[case][0] == golden[wrapped_id(*case)]
+
+
+@pytest.mark.parametrize("case", WRAPPED_RUNS, ids=lambda case: wrapped_id(*case))
+def test_wrapped_query_content_equals_the_denotation(case, wrapped_runs):
+    _, rows, _, want = wrapped_runs[case]
+    # Content keeps the payload, so root times (@rt, @cbt) must agree too.
+    assert want and workloads.content(rows) == workloads.content(want)
+
+
+@pytest.mark.parametrize("case", WRAPPED_RUNS, ids=lambda case: wrapped_id(*case))
+def test_wrapped_query_metrics_count_the_rows_written(case, wrapped_runs):
+    _, rows, metrics, _ = wrapped_runs[case]
+    keys = [r.k for r in rows]
+    assert metrics["total"]["output_rows"] == len(keys)
+    assert metrics["total"]["retraction_rows"] == len(keys) - len(set(keys))
+
+
 @pytest.mark.parametrize("seed", STREAM_SEEDS)
 def test_stream_command_bytes(seed, tmp_path, golden):
     assert stream_hashes(tmp_path, seed) == golden[f"stream-tools/{seed}"]
@@ -135,6 +264,9 @@ def test_stream_command_bytes(seed, tmp_path, golden):
 
 def test_golden_covers_every_case(golden):
     assert sorted(golden) == sorted([run_id(*case) for case in RUNS]
+                                    + [query_id(*case) for case in QUERY_RUNS]
+                                    + [chain_id(*case) for case in CHAIN_RUNS]
+                                    + [wrapped_id(*case) for case in WRAPPED_RUNS]
                                     + [f"stream-tools/{seed}" for seed in STREAM_SEEDS])
 
 

@@ -29,12 +29,9 @@ from cedr.patterns import (
     plan_to_obj,
     primitive,
     sequence,
-    slice_table,
     unless,
 )
-from cedr.temporal import INF, HistoryTable, Payload, TritemporalEvent
-
-from fixtures import row
+from cedr.temporal import INF, Payload
 
 
 def ev(id, v_s, machine=None, **kw):
@@ -361,17 +358,18 @@ class TestPredicateInjection:
 
 class TestSlice:
     def test_clip_valid(self):
-        h = HistoryTable([row("K", "e", 1, 10, 1, INF, 0)])
-        out = slice_table(h, valid=(5, 21))
-        assert [(r.v_s, r.v_e) for r in out] == [(5, 10)]
+        plan = SliceOp(Leaf("A"), valid=(5, 21))
+        out = evaluate_plan(plan, {"A": [primitive("e", 1, 10)]})
+        assert {(e.v_s, e.v_e, e.o_s, e.o_e, e.rt) for e in out} == {(5, 10, 1, INF, 1)}
 
     def test_covering_slice_identity(self):
-        h = HistoryTable([row("K", "e", 1, 10, 1, INF, 0)])
-        assert slice_table(h, occ=(0, INF), valid=(0, INF)) == h
+        e = primitive("e", 1, 10)
+        plan = SliceOp(Leaf("A"), occ=(0, INF), valid=(0, INF))
+        assert evaluate_plan(plan, {"A": [e]}) == frozenset({e})
 
     def test_disjoint_slice_empty(self):
-        h = HistoryTable([row("K", "e", 1, 10, 1, INF, 0)])
-        assert slice_table(h, valid=(20, 30)) == HistoryTable()
+        plan = SliceOp(Leaf("A"), valid=(20, 30))
+        assert evaluate_plan(plan, {"A": [primitive("e", 1, 10)]}) == frozenset()
 
     def test_slice_node_in_plan(self):
         plan = SliceOp(Leaf("A"), valid=(5, 21))

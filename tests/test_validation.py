@@ -9,6 +9,7 @@ build equals what the checking constructor makes of the same fields, and
 that a pipeline no longer re-checks what it built.
 """
 
+import hashlib
 import json
 import random
 import sys
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from cedr import engine, patterns, temporal
 from cedr.cli import _guarantee_marks, main
-from cedr.disorder import rows_from_pattern
+from cedr.disorder import disorder_stream, rows_from_pattern
 from cedr.engine import (
     MIDDLE,
     STRONG,
@@ -61,14 +62,17 @@ QUERIES = [
 ]
 PLANS = [compile_query(parse(src).ast).plan for src in QUERIES]
 
-# Every builder that uses an unchecked constructor.
+# Every builder that uses an unchecked constructor.  The tests encode their
+# input streams inside the check, so disorder.restamp_arrivals is one.
 TRUSTED_SITES = {"_composite", "_pass_through", "_restamp", "_out_row", "_wire",
-                 "pattern_event_from_row", "pattern_event_to_row", "_postprocess"}
+                 "pattern_event_from_row", "pattern_event_to_row", "restamp_arrivals",
+                 "slice_pattern_events", "project_payload"}
 
 # The same for the merged operators, which build UnitemporalEvents.
 MERGED_UNDER_TEST = ("union", "difference", "groupby", "join", "project")
 TRUSTED_MERGED_SITES = {"_restamp", "_out_row", "merged_event_from_row", "coalesce_star",
-                        "union", "difference", "groupby_aggregate", "join", "project"}
+                        "union", "difference", "groupby_aggregate", "join", "project",
+                        "restamp_arrivals"}
 
 
 @contextmanager
@@ -210,6 +214,20 @@ class TestTrustedEdgeBuilds:
                 temporal.canonical_to(table, INF)
         assert sites == {"truncate"}
         assert clamped > 100
+
+    def test_restamped_rows_equal_the_checked_build(self):
+        # Only the arrival restamp builds unchecked; expand_row, which widens
+        # v_e, keeps its check.  The hash was written with every row checked.
+        sites: set = set()
+        clean = gen.clean_pattern_stream(1, 400)
+        with checked_trusted_builds(sites):
+            text = "".join(dumps_events(disorder_stream(clean[i:i + 100], gen.SKEW,
+                                                        gen.RETRACT_PROB, i))
+                           for i in range(0, 400, 100))
+        assert sites == {"restamp_arrivals"}
+        assert text.count("~tmp") == 68
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "687fd0dceb2dfc8ab7e030a27a7d49514a9c62696b49d1c872f1e8d963a5a9f7")
 
 
 class MergedChain:
