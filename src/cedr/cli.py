@@ -15,7 +15,9 @@ Exit codes: 0 success, 1 query diagnostics, 2 I/O or format failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import shutil
 import sys
 
 from .disorder import disorder_stream
@@ -25,7 +27,6 @@ from .patterns import plan_dumps
 from .query import ast_to_obj, compile_query, leaf_streams, parse
 from .temporal import (
     INF,
-    HistoryTable,
     Time,
     canonical_at,
     canonical_to,
@@ -223,7 +224,7 @@ def cmd_disorder(args) -> int:
         return DIAGNOSTICS
     rows = _read_stream(args.input)
     out = disorder_stream(rows, args.skew, args.retract_prob, args.seed)
-    if not logically_equivalent(HistoryTable(rows), HistoryTable(out), INF, "to"):
+    if not logically_equivalent(rows, out, INF, "to"):
         print("error: internal: re-encoding changed stream content", file=sys.stderr)
         return IO_FAILURE
     _write_rows(out, args.output)
@@ -231,8 +232,8 @@ def cmd_disorder(args) -> int:
 
 
 def cmd_canon(args) -> int:
-    table = HistoryTable(_read_stream(args.input))
-    canon = (canonical_to if args.mode == "to" else canonical_at)(table, args.t0)
+    rows = _read_stream(args.input)
+    canon = (canonical_to if args.mode == "to" else canonical_at)(rows, args.t0)
     if args.output:
         write_table(canon, args.output)
     else:
@@ -241,9 +242,8 @@ def cmd_canon(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    a = HistoryTable(_read_stream(args.a))
-    b = HistoryTable(_read_stream(args.b))
-    same = logically_equivalent(a, b, args.t0, args.mode)
+    same = logically_equivalent(_read_stream(args.a), _read_stream(args.b),
+                                args.t0, args.mode)
     print("equivalent" if same else "different")
     return OK if same else DIFFER
 
@@ -259,13 +259,18 @@ def cmd_parse(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse makes a formatter for every add_argument, and a formatter
+    # without a width probes the terminal; this is the width it would find.
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
-        prog="cedr",
+        prog="cedr", formatter_class=formatter,
         description="Temporal event-stream engine: standing queries over "
                     "out-of-order streams with retractions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="execute a query over event logs")
+    run = sub.add_parser("run", help="execute a query over event logs",
+                         formatter_class=formatter)
     run.add_argument("--query", required=True, help="query file")
     run.add_argument("--input", action="append", metavar="NAME=PATH",
                      help="event log for one stream (repeatable)")
@@ -285,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", default=None)
     run.set_defaults(func=cmd_run)
 
-    dis = sub.add_parser("disorder", help="re-encode a stream with disorder")
+    dis = sub.add_parser("disorder", help="re-encode a stream with disorder",
+                         formatter_class=formatter)
     dis.add_argument("--input", required=True)
     dis.add_argument("--output", default=None)
     dis.add_argument("--seed", type=int, default=None)
@@ -294,21 +300,22 @@ def build_parser() -> argparse.ArgumentParser:
     dis.add_argument("--config", default=None)
     dis.set_defaults(func=cmd_disorder)
 
-    canon = sub.add_parser("canon", help="canonicalize a stream")
+    canon = sub.add_parser("canon", help="canonicalize a stream", formatter_class=formatter)
     canon.add_argument("--input", required=True)
     canon.add_argument("--t0", type=_time_flag, required=True)
     canon.add_argument("--mode", default="to", choices=["to", "at"])
     canon.add_argument("--output", default=None)
     canon.set_defaults(func=cmd_canon)
 
-    eq = sub.add_parser("equiv", help="check logical equivalence of two streams")
+    eq = sub.add_parser("equiv", help="check logical equivalence of two streams",
+                        formatter_class=formatter)
     eq.add_argument("a")
     eq.add_argument("b")
     eq.add_argument("--t0", type=_time_flag, required=True)
     eq.add_argument("--mode", default="to", choices=["to", "at"])
     eq.set_defaults(func=cmd_equiv)
 
-    pr = sub.add_parser("parse", help="dump a query AST")
+    pr = sub.add_parser("parse", help="dump a query AST", formatter_class=formatter)
     pr.add_argument("--query", required=True)
     pr.add_argument("--plan", action="store_true", help="also dump the compiled plan")
     pr.set_defaults(func=cmd_parse)

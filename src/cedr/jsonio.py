@@ -56,6 +56,11 @@ def event_from_obj(obj: dict) -> TritemporalEvent:
     # order, so a bad line fails on the same check with the same message.
     try:
         k, eid = obj["k"], obj["id"]
+        # Rows are hashed by their fields; a JSON array or object is not.
+        if isinstance(k, (list, dict)):
+            raise ValueError(f"k must be a string, number, boolean or null, got {k!r}")
+        if isinstance(eid, (list, dict)):
+            raise ValueError(f"id must be a string, number, boolean or null, got {eid!r}")
         v_s, v_e = parse_time(obj["vs"], "vs"), parse_time(obj["ve"], "ve")
         o_s, o_e = parse_time(obj["os"], "os"), parse_time(obj["oe"], "oe")
         c_s = parse_time(obj["cs"], "cs")

@@ -264,15 +264,20 @@ class _Token(NamedTuple):
     col: int
 
 
+# One match per token: the whitespace before a token (group 1) is consumed
+# with it, and the input's trailing whitespace matches with \Z.  Apart from
+# string before badstring, the alternatives start with disjoint characters;
+# the commonest kinds come first.
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<number>\d+)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z_][A-Za-z0-9_]*)*)
-  | (?P<string>'[^'\n]*')
-  | (?P<badstring>'[^'\n]*)
-  | (?P<op><=|>=|!=|<>|=|<|>)
-  | (?P<punct>[(){}\[\],.@\#])
-  | (?P<bad>.)
+    (\s*)
+    (?: (?P<name>[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z_][A-Za-z0-9_]*)*)
+      | (?P<punct>[(){}\[\],.@\#])
+      | (?P<number>\d+)
+      | (?P<op><=|>=|!=|<>|=|<|>)
+      | (?P<string>'[^'\n]*')
+      | (?P<badstring>'[^'\n]*)
+      | (?P<bad>.)
+      | \Z )
 """, re.VERBOSE | re.DOTALL)
 
 
@@ -281,15 +286,15 @@ def _lex(source: str) -> tuple[list[_Token], list[Diagnostic]]:
     diagnostics: list[Diagnostic] = []
     line, line_start = 1, 0
     for m in _TOKEN_RE.finditer(source):
-        kind, text = m.lastgroup, m.group()
-        if kind == "ws":
-            # Only whitespace spans lines.
-            newlines = text.count("\n")
-            if newlines:
-                line += newlines
-                line_start = m.start() + text.rfind("\n") + 1
-            continue
-        col = m.start() - line_start + 1
+        kind, ws, start = m.lastgroup, m.group(1), m.end(1)
+        # Only whitespace spans lines.
+        if "\n" in ws:
+            line += ws.count("\n")
+            line_start = start - len(ws) + ws.rfind("\n") + 1
+        if kind is None:
+            break
+        text = m.group(kind)
+        col = start - line_start + 1
         if kind == "bad":
             diagnostics.append(Diagnostic("error", line, col, 1,
                                           f"unexpected character {text!r}"))

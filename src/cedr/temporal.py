@@ -416,18 +416,23 @@ def coalesce_star(events: Iterable[UnitemporalEvent]) -> frozenset[UnitemporalEv
                      for v_s, v_e, eid in runs)
 
 
-def reduce(h: HistoryTable) -> HistoryTable:
+def reduce(h: Iterable[TritemporalEvent]) -> HistoryTable:
     """Keep, per lineage key, only the row with the earliest occurrence end.
 
     Ties on ``o_e`` keep the latest arrival (largest ``c_s``): the most
-    recent assertion wins.
+    recent assertion wins.  ``h`` may be any iterable of rows; a row it
+    repeats counts once.
     """
+    return HistoryTable(_reduced(h))
+
+
+def _reduced(rows: Iterable[TritemporalEvent]) -> Iterable[TritemporalEvent]:
     best: dict[str, TritemporalEvent] = {}
-    for row in h:
+    for row in rows:
         cur = best.get(row.k)
         if cur is None or _reduce_wins(row, cur):
             best[row.k] = row
-    return HistoryTable(best.values())
+    return best.values()
 
 
 def _reduce_wins(row: TritemporalEvent, cur: TritemporalEvent) -> bool:
@@ -438,18 +443,22 @@ def _reduce_wins(row: TritemporalEvent, cur: TritemporalEvent) -> bool:
     return row.sort_key < cur.sort_key
 
 
-def truncate(h: HistoryTable, t0: Time) -> HistoryTable:
+def truncate(h: Iterable[TritemporalEvent], t0: Time) -> HistoryTable:
     """Clamp occurrence ends to ``t0`` and drop rows that fall off.
 
     Rows starting after ``t0`` are removed, and so is any row whose
     occurrence interval is (or becomes) empty: ``o_e = o_s`` means the
     assertion was removed from the system entirely.  ``t0 = INF`` is
     allowed and performs no clamping, which is what comparisons "to
-    infinity" need.
+    infinity" need.  ``h`` may be any iterable of rows.
     """
+    return HistoryTable(_truncated(h, t0))
+
+
+def _truncated(rows: Iterable[TritemporalEvent], t0: Time) -> list[TritemporalEvent]:
     check_time(t0, "t0")
     out = []
-    for row in h:
+    for row in rows:
         if row.o_s > t0:
             continue
         o_e = min(row.o_e, t0)
@@ -460,15 +469,32 @@ def truncate(h: HistoryTable, t0: Time) -> HistoryTable:
             row = TritemporalEvent._trusted(row.k, row.id, row.v_s, row.v_e,
                                             row.o_s, o_e, row.c_s, row.c_e, row.payload)
         out.append(row)
-    return HistoryTable(out)
+    return out
 
 
-def canonical_to(h: HistoryTable, t0: Time) -> HistoryTable:
+def _canonical(rows: Iterable[TritemporalEvent], t0: Time,
+               mode: str) -> list[TritemporalEvent]:
+    """The rows of ``canonical_to`` (``mode`` "to") or ``canonical_at`` ("at").
+
+    Reduce and truncate run on plain rows, so a caller builds at most the
+    one table it returns.
+    """
+    if mode == "to":
+        return _truncated(_reduced(rows), t0)
+    if mode != "at":
+        raise ValueError(f"mode must be 'to' or 'at', got {mode!r}")
+    check_time(t0, "t0")
+    if t0 == INF:
+        raise ValueError("canonical_at requires a finite t0")
+    return _truncated([row for row in _reduced(rows) if row.o_s <= t0 <= row.o_e], t0)
+
+
+def canonical_to(h: Iterable[TritemporalEvent], t0: Time) -> HistoryTable:
     """The canonical history table to time ``t0``: reduce, then truncate."""
-    return truncate(reduce(h), t0)
+    return HistoryTable(_canonical(h, t0, "to"))
 
 
-def canonical_at(h: HistoryTable, t0: Time) -> HistoryTable:
+def canonical_at(h: Iterable[TritemporalEvent], t0: Time) -> HistoryTable:
     """The canonical table at ``t0``: only assertions in effect at that instant.
 
     The intersection filter runs on the reduced (pre-truncation) table and
@@ -476,12 +502,7 @@ def canonical_at(h: HistoryTable, t0: Time) -> HistoryTable:
     Filtering after truncation would make every table empty at its own
     truncation point, which contradicts the worked equivalence examples.
     """
-    check_time(t0, "t0")
-    if t0 == INF:
-        raise ValueError("canonical_at requires a finite t0")
-    reduced = reduce(h)
-    kept = [row for row in reduced if row.o_s <= t0 <= row.o_e]
-    return truncate(HistoryTable(kept), t0)
+    return HistoryTable(_canonical(h, t0, "at"))
 
 
 def shred(rows: Iterable[TritemporalEvent]) -> frozenset[TritemporalEvent]:
@@ -540,25 +561,21 @@ def is_sync_point(a: AnnotatedHistoryTable, p: SyncPointPair) -> bool:
     return True
 
 
-def projected(h: HistoryTable, include_lineage: bool = True) -> frozenset[tuple]:
+def projected(h: Iterable[TritemporalEvent], include_lineage: bool = True) -> frozenset[tuple]:
     """Rows as tuples with arrival columns (and optionally lineage) removed."""
     return frozenset(row.content(include_lineage) for row in h)
 
 
-def logically_equivalent(s1: HistoryTable, s2: HistoryTable, t0: Time,
-                         mode: str = "to", *, include_lineage: bool = True) -> bool:
+def logically_equivalent(s1: Iterable[TritemporalEvent], s2: Iterable[TritemporalEvent],
+                         t0: Time, mode: str = "to", *, include_lineage: bool = True) -> bool:
     """Compare canonical tables with arrival columns projected away.
 
     ``mode`` is ``"to"`` or ``"at"``.  ``t0 = INF`` is only meaningful with
     ``"to"`` and compares the fully reduced tables.  ``include_lineage=False``
     additionally projects the lineage key, which is what comparisons across
     independently re-encoded streams need (their keys are bookkeeping).
+    ``s1`` and ``s2`` may be any iterables of rows; no table is built.
     """
     mode = mode.lower()
-    if mode == "to":
-        c1, c2 = canonical_to(s1, t0), canonical_to(s2, t0)
-    elif mode == "at":
-        c1, c2 = canonical_at(s1, t0), canonical_at(s2, t0)
-    else:
-        raise ValueError(f"mode must be 'to' or 'at', got {mode!r}")
-    return projected(c1, include_lineage) == projected(c2, include_lineage)
+    return (projected(_canonical(s1, t0, mode), include_lineage)
+            == projected(_canonical(s2, t0, mode), include_lineage))

@@ -1,8 +1,16 @@
+import contextlib
+import io
 import json
+import os
 import random
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cedr
 from cedr.cli import main
 from cedr.disorder import disorder_stream
 from cedr.engine import Pipeline, pattern_event_to_row
@@ -11,6 +19,7 @@ from cedr.patterns import PatternEvent
 from cedr.temporal import INF, HistoryTable, Payload, logically_equivalent
 
 from fixtures import TABLE_A, TABLE_B, row
+from perfbench.workloads import StreamTools
 
 QUERY = """\
 EVENT CIDR07_Example
@@ -310,6 +319,96 @@ class TestCanonEquiv:
     def test_t0_accepts_inf_in_any_case(self, tmp_path):
         a, _ = self._tables(tmp_path)
         assert main(["equiv", str(a), str(a), "--t0", "INF"]) == 0
+
+
+class TestUnhashableLineage:
+    """A JSON array or object as ``k`` or ``id`` is a format error, exit 2."""
+
+    BAD = [("k", ["K"], "k must be a string, number, boolean or null, got ['K']"),
+           ("id", {"a": 1}, "id must be a string, number, boolean or null, got {'a': 1}")]
+
+    def _write(self, tmp_path, field, value):
+        # Line 1 is valid; line 2 carries the bad field.
+        good = machine_event("i1", 10)
+        lines = dumps_events([pattern_event_to_row(good, "K0", 0),
+                              pattern_event_to_row(machine_event("i2", 20), "K1", 1)])
+        first, second = lines.splitlines()
+        obj = json.loads(second)
+        obj[field] = value
+        path = tmp_path / "bad.jsonl"
+        path.write_text(f"{first}\n{json.dumps(obj)}\n")
+        return path
+
+    @pytest.mark.parametrize("field,value,message", BAD, ids=["k", "id"])
+    @pytest.mark.parametrize("command", ["canon", "equiv", "disorder", "run"])
+    def test_exit_two_with_line_number(self, tmp_path, capsys, query_file,
+                                       command, field, value, message):
+        bad = self._write(tmp_path, field, value)
+        good = tmp_path / "good.jsonl"
+        write_stream(good, [machine_event("i1", 10)])
+        argv = {
+            "canon": ["canon", "--input", str(bad), "--t0", "inf"],
+            "equiv": ["equiv", str(good), str(bad), "--t0", "inf"],
+            "disorder": ["disorder", "--input", str(bad), "--seed", "1"],
+            "run": ["run", "--query", str(query_file), "--input", f"INSTALL={bad}",
+                    "--input", f"SHUTDOWN={good}"],
+        }[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {bad}: line 2: {message}\n"
+        assert captured.out == ""
+
+
+class TestCommandCost:
+    def test_stream_tools_commands_probe_once_and_build_two_tables(self, tmp_path,
+                                                                   monkeypatch):
+        # One stream-tools call: disorder, equiv, canon to and canon at on
+        # one 100-row file.  Each command builds its parser with one
+        # terminal probe; only the two canon commands build a table.
+        counts = {"probes": 0, "tables": 0}
+        probe, init = shutil.get_terminal_size, HistoryTable.__init__
+
+        def counted_probe(*args):
+            counts["probes"] += 1
+            return probe(*args)
+
+        def counted_init(self, rows=()):
+            counts["tables"] += 1
+            init(self, rows)
+
+        tools = StreamTools(1, str(tmp_path), n_rows=100, file_rows=100, parts=1)
+        monkeypatch.setattr(shutil, "get_terminal_size", counted_probe)
+        monkeypatch.setattr(HistoryTable, "__init__", counted_init)
+        with contextlib.redirect_stdout(io.StringIO()):
+            exits = [main(argv) for argv in tools.commands(0)]
+        assert exits == [0, 0, 0, 0]
+        assert counts["probes"] == 4
+        assert counts["tables"] <= 2
+
+
+class TestModuleEntry:
+    """``python -m cedr`` is ``cedr.cli.main`` in a new process."""
+
+    @pytest.mark.parametrize("kind", ["help", "canon", "equiv-differ", "missing-file"])
+    def test_same_exit_and_stdout_as_main(self, tmp_path, monkeypatch, capsys, kind):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        a.write_text(dumps_events(TABLE_A.sorted_rows()))
+        b.write_text(dumps_events(TABLE_B.sorted_rows()))
+        argv = {
+            "help": ["canon", "--help"],
+            "canon": ["canon", "--input", str(a), "--t0", "3"],
+            "equiv-differ": ["equiv", str(a), str(b), "--t0", "5"],
+            "missing-file": ["canon", "--input", str(tmp_path / "nope"), "--t0", "3"],
+        }[kind]
+        monkeypatch.setenv("COLUMNS", "72")
+        src = str(Path(cedr.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "cedr", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        code = main(argv)
+        assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out)
+        assert code == {"help": 0, "canon": 0, "equiv-differ": 3, "missing-file": 2}[kind]
 
 
 class TestParseCommand:

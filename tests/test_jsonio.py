@@ -156,6 +156,17 @@ class TestReader:
         assert loads_events(dumps_events(rows)) == rows
         assert calls == {"parse_time": 6 * len(rows), "check_time": 0}
 
+    @pytest.mark.parametrize("field", ["k", "id"])
+    def test_lineage_fields_must_be_hashable(self, field):
+        base = event_to_obj(gen.clean_pattern_stream(1, 1)[0])
+        for value in ("x", 3, 2.5, True, None):
+            row = loads_events(json.dumps({**base, field: value}))[0]
+            assert getattr(row, field) == value and hash(row) is not None
+        for value in ([1], [], {"a": 1}, {}):
+            with pytest.raises(LineFormatError, match=f"line 1: {field} must be a string, "
+                                                      "number, boolean or null"):
+                loads_events(json.dumps({**base, field: value}))
+
 
 # --- rejection parity ---------------------------------------------------------
 
@@ -179,8 +190,10 @@ UNI_VARIANTS = {
 UNI_BASE = {"id": "u0", "vs": 1, "ve": 5, "payload": {"m": "x"}}
 
 # sha256 of every grid line and its outcome, from the reader that built each
-# row through the checking constructors.
-ROW_GRID_SHA = "49efdd211635932dce3a89ea36f44c724402b237083890cf3bbd3621c2f9a0c6"
+# row through the checking constructors.  ROW_GRID_SHA was written again when
+# the reader began to reject a JSON array or object as ``k`` or ``id``; only
+# lines holding such a ``k`` or ``id`` changed their outcome.
+ROW_GRID_SHA = "23b5fdc8f792a12ba7bfccc7f6e94ef62e1ecee4c64aa8cb3ee65e32983a37f4"
 UNI_GRID_SHA = "bd716c9c53d853c6ef4f717f01927c36068f5b8e550c768dd9a4ed765cbd7107"
 
 

@@ -26,6 +26,8 @@ from cedr.temporal import (
     truncate,
 )
 
+from cedr.disorder import disorder_stream, rows_from_unitemporal
+
 from fixtures import (
     ANNOTATED_SOURCE,
     ANNOTATED_SYNCS,
@@ -38,6 +40,7 @@ from fixtures import (
     TABLE_B,
     row,
 )
+from perfbench import gen
 
 P = Payload({"tag": "p"})
 Q = Payload({"tag": "q"})
@@ -375,3 +378,76 @@ class TestOrderInsensitivity:
         assert reduce(HistoryTable(reversed(rows))) == reduce(PROTOCOL_TABLE)
         assert canonical_to(HistoryTable(rows[2:] + rows[:2]), 4) == \
             canonical_to(PROTOCOL_TABLE, 4)
+
+
+def reference_to(h: HistoryTable, t0) -> HistoryTable:
+    return truncate(reduce(h), t0)
+
+
+def reference_at(h: HistoryTable, t0) -> HistoryTable:
+    return truncate(HistoryTable(r for r in reduce(h) if r.o_s <= t0 <= r.o_e), t0)
+
+
+def stream_pairs():
+    """Clean streams from ``perfbench.gen`` with a re-encoding of each."""
+    for seed in (1, 2):
+        clean = gen.clean_pattern_stream(seed, 30)
+        yield clean, disorder_stream(clean, gen.SKEW, 0.3, seed)
+        ideal, wire = gen.rollup_inputs(seed, 8)
+        for name in ideal:
+            yield rows_from_unitemporal(ideal[name], key_prefix=f"{name}k"), wire[name]
+
+
+def reference_times(*streams) -> list:
+    """0, every distinct occurrence start and end, and INF."""
+    return sorted({0, INF} | {t for rows in streams for r in rows for t in (r.o_s, r.o_e)})
+
+
+def with_a_repeat(rows: list) -> list:
+    return rows + [rows[len(rows) // 2]]
+
+
+class TestCanonicalOnRows:
+    """Canonicalization of plain rows equals the compositional definitions."""
+
+    def test_canonical_tables_equal_reduce_then_truncate(self):
+        checked = 0
+        for pair in stream_pairs():
+            for rows in pair:
+                table = HistoryTable(rows)
+                for t0 in reference_times(rows):
+                    expected = reference_to(table, t0)
+                    assert canonical_to(with_a_repeat(rows), t0) == expected
+                    assert canonical_to(table, t0) == expected
+                    if t0 == INF:
+                        continue
+                    expected = reference_at(table, t0)
+                    assert canonical_at(with_a_repeat(rows), t0) == expected
+                    assert canonical_at(table, t0) == expected
+                    checked += 1
+        assert checked > 200
+
+    def test_equivalence_of_rows_equals_that_of_tables(self):
+        # Besides each re-encoding: the stream missing one row, and the
+        # stream under other lineage keys, which only lineage tells apart.
+        pairs = []
+        for clean, encoded in stream_pairs():
+            rekeyed = [TritemporalEvent(f"{r.k}'", r.id, r.v_s, r.v_e, r.o_s, r.o_e,
+                                        r.c_s, r.c_e, r.payload) for r in encoded]
+            pairs += [(clean, encoded), (clean, clean[:-1]), (clean, rekeyed)]
+        outcomes = set()
+        for clean, encoded in pairs:
+            tables = HistoryTable(clean), HistoryTable(encoded)
+            rows = with_a_repeat(clean), with_a_repeat(encoded)
+            for t0 in reference_times(clean, encoded):
+                for mode, reference in (("to", reference_to), ("at", reference_at)):
+                    if mode == "at" and t0 == INF:
+                        continue
+                    for lineage in (True, False):
+                        same = logically_equivalent(*tables, t0, mode, include_lineage=lineage)
+                        assert logically_equivalent(*rows, t0, mode,
+                                                    include_lineage=lineage) == same
+                        assert same == (projected(reference(tables[0], t0), lineage)
+                                        == projected(reference(tables[1], t0), lineage))
+                        outcomes.add((lineage, same))
+        assert outcomes == {(True, True), (True, False), (False, True), (False, False)}

@@ -212,7 +212,7 @@ class TestTrustedEdgeBuilds:
                                   temporal.canonical_at(table, t0)):
                         clamped += sum(r.o_e == t0 for r in canon)
                 temporal.canonical_to(table, INF)
-        assert sites == {"truncate"}
+        assert sites == {"_truncated"}
         assert clamped > 100
 
     def test_restamped_rows_equal_the_checked_build(self):
