@@ -46,6 +46,13 @@ def _time_flag(text: str) -> Time:
             f"must be a non-negative integer or 'inf', got {text!r}") from None
 
 
+def _count_flag(text: str) -> int:
+    """An argparse type: a non-negative integer, in decimal digits."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def load_config(path: str) -> dict[str, str]:
     """Key=value lines; ``#`` starts a comment; quotes around values optional."""
     values: dict[str, str] = {}
@@ -284,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
                      dest="tick_unit")
     run.add_argument("--output", default=None)
     run.add_argument("--metrics", default=None)
-    run.add_argument("--guarantee-every", type=int, default=0,
+    run.add_argument("--guarantee-every", type=_count_flag, default=0,
                      dest="guarantee_every", metavar="N",
                      help="declare honest per-stream guarantees every N rows")
     run.add_argument("--config", default=None)

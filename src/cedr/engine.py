@@ -251,8 +251,8 @@ MERGED_KINDS = {
 def build_module(kind: str, **params) -> OpModule:
     """Construct an operational module for one algebra or pattern operator."""
     merged = MERGED_KINDS.get(kind)
-    # Every pattern kind is a plan-node kind; "filter" names a stream leaf.
-    node = patterns.NODE_KINDS_BY_TAG.get("stream" if kind == "filter" else kind)
+    # Every pattern kind is a plan-node kind.
+    node = patterns.NODE_KINDS_BY_TAG.get(kind)
     if merged is None and (node is None or node.wrapper):
         raise ValueError(f"unknown operator kind {kind!r}")
     missing = [name for name in (merged or node).required if name not in params]
@@ -425,9 +425,9 @@ class OperatorInstance:
     def switch_level(self, new_level: ConsistencyLevel, at: SyncPointPair) -> None:
         """Change the consistency level at a sync point of both streams."""
         # Sync points read only sync values and arrival stamps: no wire form.
-        if not is_sync_point(AnnotatedHistoryTable(r[:2] for r in self._in_log), at):
+        if not is_sync_point(((sync, row) for sync, row, _ in self._in_log), at):
             raise NotASyncPoint(f"({at.t_o}, {at.t_c}) is not a sync point of the input")
-        if not is_sync_point(AnnotatedHistoryTable(r[:2] for r in self._out_log), at):
+        if not is_sync_point(((sync, row) for sync, row, _ in self._out_log), at):
             raise NotASyncPoint(f"({at.t_o}, {at.t_c}) is not a sync point of the output")
         if new_level == self.level:
             return

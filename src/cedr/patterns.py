@@ -118,8 +118,10 @@ BlockHook = Callable[[Ctx, "PatternEvent"], bool]
 Streams = Sequence[Iterable[PatternEvent]]
 
 
-def _sorted_streams(streams: Streams) -> list[list[PatternEvent]]:
-    return [sorted(s, key=lambda e: e.sort_key) for s in streams]
+def _by_start(events: Iterable[PatternEvent]) -> tuple[list[PatternEvent], list[Time]]:
+    """``events`` sorted by start time, with those starts for bisection."""
+    ordered = sorted(events, key=attrgetter("v_s"))
+    return ordered, [e.v_s for e in ordered]
 
 
 def _check_scope(w: Time) -> None:
@@ -151,6 +153,50 @@ def _pass_through(e: PatternEvent, w: Time) -> PatternEvent:
                                  e.payload)
 
 
+def _walk(streams: Streams, n: int, w: Time, accept: AcceptHook | None, *,
+          in_order: bool) -> frozenset[PatternEvent]:
+    """Composites of ``n`` events from distinct streams, in strict v_s order, within ``w``.
+
+    A selection grows one event at a time and stops growing at the first
+    candidate past its scope.  With ``in_order`` its i-th event comes from
+    stream i (SEQUENCE); otherwise from any stream it has not used yet
+    (ATLEAST).  ``accept`` sees each whole selection as (stream index,
+    event) pairs in v_s order.
+    """
+    pools = [_by_start(s) for s in streams]
+    # Without this, ALL over one empty child would walk every partial
+    # chain of the others.
+    if sum(1 for events, _ in pools if events) < n:
+        return frozenset()
+    # The streams each position of a selection may take its event from.
+    sources = [(d,) for d in range(n)] if in_order else [range(len(pools))] * n
+    out = []
+
+    def extend(ctx: Ctx, used: int, end: Time) -> None:
+        depth = len(ctx)
+        if depth == n:
+            if accept is None or accept(ctx):
+                comp = _composite(ctx, w)
+                if comp is not None:
+                    out.append(comp)
+            return
+        last = ctx[-1][1].v_s
+        for i in sources[depth]:
+            if used >> i & 1:
+                continue
+            events, starts = pools[i]
+            for j in range(bisect_right(starts, last), len(events)):
+                e = events[j]
+                if e.v_s > end:
+                    break
+                extend(ctx + ((i, e),), used | 1 << i, end)
+
+    for i in sources[0]:
+        for e in pools[i][0]:
+            extend(((i, e),), 1 << i, e.v_s + w)
+    return frozenset(out)
+
+
 def atleast(n: int, streams: Streams, w: Time, *,
             accept: AcceptHook | None = None) -> frozenset[PatternEvent]:
     """Composites from any ``n`` distinct streams, in strict v_s order, within ``w``."""
@@ -158,62 +204,16 @@ def atleast(n: int, streams: Streams, w: Time, *,
     if not 1 <= n <= k:
         raise ArityMismatch(f"atleast needs 1 <= n <= {k}, got {n}")
     _check_scope(w)
-    ordered = _sorted_streams(streams)
-    out = []
-    for ctx in _choose(ordered, n, w):
-        if accept is not None and not accept(ctx):
-            continue
-        comp = _composite(ctx, w)
-        if comp is not None:
-            out.append(comp)
-    return frozenset(out)
-
-
-def _choose(ordered: list[list[PatternEvent]], n: int, w: Time):
-    """All v_s-ordered selections of one event from each of n distinct streams."""
-    from itertools import combinations, product
-
-    for subset in combinations(range(len(ordered)), n):
-        for combo in product(*(ordered[i] for i in subset)):
-            pairs = sorted(zip(subset, combo), key=lambda p: p[1].v_s)
-            ok = all(pairs[i][1].v_s < pairs[i + 1][1].v_s for i in range(n - 1))
-            if ok and pairs[-1][1].v_s - pairs[0][1].v_s <= w:
-                yield tuple(pairs)
+    return _walk(streams, n, w, accept, in_order=False)
 
 
 def sequence(streams: Streams, w: Time, *,
              accept: AcceptHook | None = None) -> frozenset[PatternEvent]:
     """Composites with one contributor per stream, in stream order, within ``w``."""
-    return frozenset(comp for _, comp in _sequence_denote(streams, w, accept))
-
-
-def _sequence_denote(streams: Streams, w: Time,
-                     accept: AcceptHook | None) -> list[tuple[Ctx, PatternEvent]]:
     if len(streams) < 2:
         raise ArityMismatch("sequence needs at least two streams")
     _check_scope(w)
-    ordered = _sorted_streams(streams)
-    out: list[tuple[Ctx, PatternEvent]] = []
-
-    def extend(prefix: list[PatternEvent]):
-        i = len(prefix)
-        if i == len(ordered):
-            ctx = tuple(enumerate(prefix))
-            if accept is None or accept(ctx):
-                comp = _composite(ctx, w)
-                if comp is not None:
-                    out.append((ctx, comp))
-            return
-        for e in ordered[i]:
-            if prefix:
-                if e.v_s <= prefix[-1].v_s:
-                    continue
-                if e.v_s - prefix[0].v_s > w:
-                    break
-            extend(prefix + [e])
-
-    extend([])
-    return out
+    return _walk(streams, len(streams), w, accept, in_order=True)
 
 
 def all_of(streams: Streams, w: Time, *,
@@ -253,6 +253,14 @@ def atmost(n: int, streams: Streams, w: Time, *,
     return frozenset(out)
 
 
+def _blocked(blockers: tuple[list[PatternEvent], list[Time]], lo: Time, hi: Time,
+             ctx: Ctx, blocks: BlockHook | None) -> bool:
+    """Whether a blocker starting strictly inside ``(lo, hi)`` passes ``blocks``."""
+    events, starts = blockers
+    i, j = bisect_right(starts, lo), bisect_left(starts, hi)
+    return i < j and (blocks is None or any(blocks(ctx, b) for b in events[i:j]))
+
+
 def unless(e1s: Iterable[PatternEvent], e2s: Iterable[PatternEvent], w: Time, *,
            accept: AcceptHook | None = None,
            blocks: BlockHook | None = None) -> frozenset[PatternEvent]:
@@ -262,19 +270,13 @@ def unless(e1s: Iterable[PatternEvent], e2s: Iterable[PatternEvent], w: Time, *,
     anchor's start, or at exactly ``v_s + w``, does not block.
     """
     _check_scope(w)
-    blockers = sorted(e2s, key=lambda e: e.sort_key)
-    starts = [e.v_s for e in blockers]
+    blockers = _by_start(e2s)
     out = []
     for e1 in e1s:
         ctx = ((0, e1),)
         if accept is not None and not accept(ctx):
             continue
-        lo = bisect_right(starts, e1.v_s)
-        hi = bisect_left(starts, e1.v_s + w)
-        hits = blockers[lo:hi]
-        if blocks is not None:
-            hits = [b for b in hits if blocks(ctx, b)]
-        if not hits:
+        if not _blocked(blockers, e1.v_s, e1.v_s + w, ctx, blocks):
             out.append(_pass_through(e1, w))
     return frozenset(out)
 
@@ -283,35 +285,26 @@ def not_seq(es: Iterable[PatternEvent], streams: Streams, w: Time, *,
             accept: AcceptHook | None = None,
             blocks: BlockHook | None = None) -> frozenset[PatternEvent]:
     """Sequence composites with no blocker strictly inside the contributor span."""
-    negs = sorted(es, key=lambda e: e.sort_key)
-    starts = [e.v_s for e in negs]
-    out = []
-    for ctx, comp in _sequence_denote(streams, w, accept):
-        lo_v = ctx[0][1].v_s
-        hi_v = ctx[-1][1].v_s
-        hits = negs[bisect_right(starts, lo_v):bisect_left(starts, hi_v)]
-        if blocks is not None:
-            hits = [b for b in hits if blocks(ctx, b)]
-        if not hits:
-            out.append(comp)
-    return frozenset(out)
+    blockers = _by_start(es)
+
+    def unblocked(ctx: Ctx) -> bool:
+        return ((accept is None or accept(ctx))
+                and not _blocked(blockers, ctx[0][1].v_s, ctx[-1][1].v_s, ctx, blocks))
+
+    return sequence(streams, w, accept=unblocked)
 
 
 def cancel_when(e1s: Iterable[PatternEvent], e2s: Iterable[PatternEvent], *,
                 accept: AcceptHook | None = None,
                 blocks: BlockHook | None = None) -> frozenset[PatternEvent]:
     """Events surviving: no canceller occurred between their root time and start."""
-    cancellers = sorted(e2s, key=lambda e: e.sort_key)
-    starts = [e.v_s for e in cancellers]
+    cancellers = _by_start(e2s)
     out = []
     for e1 in e1s:
         ctx = ((0, e1),)
         if accept is not None and not accept(ctx):
             continue
-        hits = cancellers[bisect_right(starts, e1.rt):bisect_left(starts, e1.v_s)]
-        if blocks is not None:
-            hits = [b for b in hits if blocks(ctx, b)]
-        if not hits:
+        if not _blocked(cancellers, e1.rt, e1.v_s, ctx, blocks):
             out.append(e1)
     return frozenset(out)
 

@@ -550,8 +550,11 @@ def annotate_sync(h: HistoryTable) -> AnnotatedHistoryTable:
     return AnnotatedHistoryTable(out)
 
 
-def is_sync_point(a: AnnotatedHistoryTable, p: SyncPointPair) -> bool:
-    """True when ``p`` cleanly separates past from future in both time domains."""
+def is_sync_point(a: Iterable[tuple[Time, TritemporalEvent]], p: SyncPointPair) -> bool:
+    """True when ``p`` cleanly separates past from future in both time domains.
+
+    ``a`` may be any iterable of ``(sync, row)`` pairs; no table is built.
+    """
     for sync, event in a:
         if event.c_s <= p.t_c:
             if sync > p.t_o:

@@ -72,15 +72,21 @@ def oracle_atmost(n, streams, w):
     return out
 
 
-def oracle_unless(e1s, e2s, w):
+def _blocking(blocks, ctx, e):
+    return blocks is None or blocks(ctx, e)
+
+
+def oracle_unless(e1s, e2s, w, blocks=None):
     out = set()
     for e1 in e1s:
-        if not any(e1.v_s < e2.v_s < e1.v_s + w for e2 in e2s):
+        ctx = ((0, e1),)
+        if not any(e1.v_s < e2.v_s < e1.v_s + w and _blocking(blocks, ctx, e2)
+                   for e2 in e2s):
             out.add(passthrough(e1, w))
     return out
 
 
-def oracle_not(es, streams, w):
+def oracle_not(es, streams, w, blocks=None):
     out = set()
     for comp_contribs in product(*(list(s) for s in streams)):
         if not all(comp_contribs[i].v_s < comp_contribs[i + 1].v_s
@@ -89,7 +95,8 @@ def oracle_not(es, streams, w):
         if comp_contribs[-1].v_s - comp_contribs[0].v_s > w:
             continue
         lo, hi = comp_contribs[0].v_s, comp_contribs[-1].v_s
-        if any(lo < e.v_s < hi for e in es):
+        ctx = tuple(enumerate(comp_contribs))
+        if any(lo < e.v_s < hi and _blocking(blocks, ctx, e) for e in es):
             continue
         comp = build(list(comp_contribs), w)
         if comp is not None:
@@ -97,6 +104,52 @@ def oracle_not(es, streams, w):
     return out
 
 
-def oracle_cancel_when(e1s, e2s):
+def oracle_cancel_when(e1s, e2s, blocks=None):
     return {e1 for e1 in e1s
-            if not any(e1.rt < e2.v_s < e1.v_s for e2 in e2s)}
+            if not any(e1.rt < e2.v_s < e1.v_s and _blocking(blocks, ((0, e1),), e2)
+                       for e2 in e2s)}
+
+
+# Reference enumerations of the selections an accept hook sees, each a
+# (stream index, event) tuple in v_s order.  ``atleast`` must offer its
+# hook exactly the selections of ``choose``, and ``sequence`` exactly
+# those of ``sequence_walk``, each as often.
+
+def choose(streams, n, w):
+    """Every stream subset's cartesian product, each combination sorted."""
+    for subset in combinations(range(len(streams)), n):
+        for combo in product(*(list(streams[i]) for i in subset)):
+            pairs = sorted(zip(subset, combo), key=lambda p: p[1].v_s)
+            ok = all(pairs[i][1].v_s < pairs[i + 1][1].v_s for i in range(n - 1))
+            if ok and pairs[-1][1].v_s - pairs[0][1].v_s <= w:
+                yield tuple(pairs)
+
+
+def sequence_walk(streams, w):
+    """Each stream in turn, every event after the last one chosen, within w."""
+    ordered = [sorted(s, key=lambda e: e.sort_key) for s in streams]
+
+    def extend(prefix):
+        if len(prefix) == len(ordered):
+            yield tuple(enumerate(prefix))
+            return
+        for e in ordered[len(prefix)]:
+            if prefix:
+                if e.v_s <= prefix[-1].v_s:
+                    continue
+                if e.v_s - prefix[0].v_s > w:
+                    break
+            yield from extend(prefix + [e])
+
+    yield from extend([])
+
+
+def composites(selections, w, accept):
+    """The composites of the selections ``accept`` passes."""
+    out = set()
+    for ctx in selections:
+        if accept(ctx):
+            comp = build([e for _, e in ctx], w)
+            if comp is not None:
+                out.add(comp)
+    return out

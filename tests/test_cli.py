@@ -132,7 +132,7 @@ class TestRun:
         assert len(loads_events(out.read_text())) == 1
 
     @pytest.mark.parametrize("line", ["tick_unit = hour", "level = loud",
-                                      "guarantee_every = often"])
+                                      "guarantee_every = often", "guarantee_every = -3"])
     def test_bad_config_value_is_a_usage_error(self, tmp_path, query_file, capsys, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
@@ -155,6 +155,29 @@ class TestRun:
         cfg.write_text("memory = abc\n")
         assert main(["run", "--query", str(query_file), "--config", str(cfg)]) == 2
         assert "error: argument --memory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("every", ["-1", "-3"])
+    def test_negative_guarantee_every_is_a_usage_error(self, tmp_path, query_file, capsys,
+                                                       every):
+        write_stream(tmp_path / "install.jsonl", [machine_event("i1", 10)])
+        assert main(["run", "--query", str(query_file),
+                     "--input", f"INSTALL={tmp_path / 'install.jsonl'}",
+                     "--guarantee-every", every,
+                     "--output", str(tmp_path / "out.jsonl")]) == 2
+        assert "error: argument --guarantee-every" in capsys.readouterr().err
+        assert not (tmp_path / "out.jsonl").exists()
+
+    def test_zero_guarantee_every_declares_none(self, tmp_path, query_file, monkeypatch):
+        write_stream(tmp_path / "install.jsonl",
+                     [machine_event("i1", 10), machine_event("i2", 40)])
+        declared = []
+        monkeypatch.setattr(Pipeline, "guarantee",
+                            lambda self, stream, threshold: declared.append(stream))
+        assert main(["run", "--query", str(query_file),
+                     "--input", f"INSTALL={tmp_path / 'install.jsonl'}",
+                     "--guarantee-every", "0",
+                     "--output", str(tmp_path / "out.jsonl")]) == 0
+        assert declared == []
 
     def test_command_line_wins_over_config(self, tmp_path, query_file):
         write_stream(tmp_path / "install.jsonl", [machine_event("i1", 10)])

@@ -100,6 +100,11 @@ class TestBuildModule:
         with pytest.raises(KeyError, match="needs n"):
             build_module(kind, k=2, w=5)
 
+    @pytest.mark.parametrize("kind", ["filter", "nope"])
+    def test_unknown_kind_is_rejected(self, kind):
+        with pytest.raises(ValueError, match=f"unknown operator kind '{kind}'"):
+            build_module(kind)
+
 
 class TestInstanceSize:
     @pytest.mark.parametrize("kind", ["union", "unless"])

@@ -1,4 +1,6 @@
 import random
+import time
+from collections import Counter
 
 import pytest
 
@@ -203,8 +205,8 @@ class TestOracleEquivalence:
     def test_atleast(self):
         rng = random.Random("o-atleast")
         for _ in range(60):
-            streams = [rand_events(rng, p, rng.randint(0, 4)) for p in "abc"]
-            n = rng.randint(1, 3)
+            streams = [rand_events(rng, p, rng.randint(0, 4)) for p in "abcd"]
+            n = rng.randint(1, 4)
             w = rng.choice([1, 3, 8, 20])
             assert atleast(n, streams, w) == oracle.oracle_atleast(n, streams, w)
 
@@ -246,6 +248,93 @@ class TestOracleEquivalence:
                              rand_events(rng, "b", rng.randint(1, 4))], 20)
             e2s = rand_events(rng, "x", rng.randint(0, 4))
             assert cancel_when(seqs, e2s) == oracle.oracle_cancel_when(seqs, e2s)
+
+
+def same_machine(ctx, blocker):
+    return ctx[0][1].payload["Machine_Id"] == blocker.payload["Machine_Id"]
+
+
+class TestReferenceEnumerations:
+    """The shared walk offers its accept hook exactly the reference
+    enumerations' selections, as often, and the negations apply their block
+    hook inside their windows."""
+
+    # Fewer events per stream as k grows keeps the cartesian reference cheap.
+    MAX_EVENTS = {1: 30, 2: 30, 3: 14, 4: 8}
+    SCOPES = [1, 3, 10, 25, INF]
+
+    @staticmethod
+    def passes(ctx):
+        return ctx[-1][1].payload["Machine_Id"] == "m1"
+
+    def recording(self, log):
+        def accept(ctx):
+            log[ctx] += 1
+            return self.passes(ctx)
+        return accept
+
+    def cases(self, seed, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            k = rng.randint(1, 4)
+            # Several 25-tick scopes' worth of starts.
+            streams = [rand_events(rng, p, rng.randint(0, self.MAX_EVENTS[k]), horizon=90)
+                       for p in "abcd"[:k]]
+            yield rng, k, streams, rng.choice(self.SCOPES)
+
+    def check(self, run, selections, w):
+        selections = list(selections)
+        seen = Counter()
+        assert run(self.recording(seen)) == oracle.composites(selections, w, self.passes)
+        assert seen == Counter(selections)
+
+    def test_selections(self):
+        for rng, k, streams, w in self.cases("reference-walk", 150):
+            n = rng.randint(1, k)
+            self.check(lambda accept: atleast(n, streams, w, accept=accept),
+                       oracle.choose(streams, n, w), w)
+            self.check(lambda accept: all_of(streams, w, accept=accept),
+                       oracle.choose(streams, k, w), w)
+            self.check(lambda accept: any_of(streams, accept=accept),
+                       oracle.choose(streams, 1, 1), 1)
+            if k >= 2:
+                self.check(lambda accept: sequence(streams, w, accept=accept),
+                           oracle.sequence_walk(streams, w), w)
+
+    def test_not_seq(self):
+        for rng, k, streams, w in self.cases("reference-not", 150):
+            if k < 2:
+                continue
+            es = rand_events(rng, "x", rng.randint(0, 10), horizon=90)
+            seen = Counter()
+            got = not_seq(es, streams, w, accept=self.recording(seen), blocks=same_machine)
+            # The hook passes composites whose last contributor ran on m1.
+            assert got == {c for c in oracle.oracle_not(es, streams, w, same_machine)
+                           if c.payload[f"Machine_Id#{k}"] == "m1"}
+            assert seen == Counter(oracle.sequence_walk(streams, w))
+
+    def test_negations_apply_the_block_hook_inside_the_window(self):
+        rng = random.Random("reference-negations")
+        for _ in range(150):
+            e1s = rand_events(rng, "a", rng.randint(0, 12), horizon=90)
+            e2s = rand_events(rng, "b", rng.randint(0, 12), horizon=90)
+            w = rng.choice(self.SCOPES)
+            assert unless(e1s, e2s, w, blocks=same_machine) == \
+                oracle.oracle_unless(e1s, e2s, w, same_machine)
+            seqs = sequence([e1s, rand_events(rng, "c", rng.randint(1, 6), horizon=90)], 20)
+            assert cancel_when(seqs, e2s, blocks=same_machine) == \
+                oracle.oracle_cancel_when(seqs, e2s, same_machine)
+            streams = [e1s, rand_events(rng, "c", rng.randint(0, 6), horizon=90)]
+            assert not_seq(e2s, streams, w, blocks=same_machine) == \
+                oracle.oracle_not(e2s, streams, w, same_machine)
+
+    def test_wide_all_with_an_empty_child_returns_at_once(self):
+        rng = random.Random("wide-all")
+        streams = [[ev(f"{c}{i}", rng.randint(0, 99)) for i in range(8)]
+                   for c in "abcdefg"] + [[]]
+        start = time.perf_counter()
+        assert all_of(streams, 100) == frozenset()
+        assert time.perf_counter() - start < 1.0
 
 
 class TestLineage:
