@@ -135,6 +135,19 @@ _FOLDS: dict[str, Callable[[list], Scalar]] = {
 }
 
 
+def group_of(payload: Payload, key: Sequence[str]) -> tuple | None:
+    """The group of ``payload`` under the key attributes ``key``.
+
+    Groups compare values as Payload does, so ``True``, ``1`` and ``1.0``
+    are distinct groups.  None when the payload misses a key attribute: such
+    an event joins no group.
+    """
+    try:
+        return tuple([_scalar_key(payload[a]) for a in key])
+    except KeyError:
+        return None
+
+
 def groupby_aggregate(s: Events, key: Sequence[str] = (), agg: str = "count",
                       target: str | None = None,
                       out: str | None = None) -> frozenset[UnitemporalEvent]:
@@ -159,15 +172,17 @@ def groupby_aggregate(s: Events, key: Sequence[str] = (), agg: str = "count",
     out_name = out or target or agg
     fold = _FOLDS.get(agg)
 
-    # Groups compare values as Payload does: True, 1 and 1.0 are distinct.
     # An event without the target never changes a sum, avg, max or min.
     groups: dict[tuple, list[UnitemporalEvent]] = {}
     for e in s:
         p = e.payload
-        if all(a in p for a in key) and (fold is None or target in p):
+        if fold is not None and target not in p:
+            continue
+        group = group_of(p, key)
+        if group is not None:
             if fold is not None:
                 _require_number(p[target])
-            groups.setdefault(tuple(_scalar_key(p[a]) for a in key), []).append(e)
+            groups.setdefault(group, []).append(e)
 
     trusted = UnitemporalEvent._trusted
     rows = []

@@ -169,8 +169,9 @@ class OpModule:
     output guarantees data-dependent; ``retire`` decides when a retained
     input row can no longer influence any state at or past the horizon.
     ``partition`` holds one key function per port (or None for a port whose
-    events join every bucket), as :func:`patterns.make_partition` builds
-    them; a module without it evaluates all its state as one bucket.
+    events join every bucket), as :func:`patterns.make_partition` and a
+    merged kind's partition rule build them; a module without it evaluates
+    all its state as one bucket.
     """
 
     name: str
@@ -211,7 +212,9 @@ class MergedKind(NamedTuple):
     an output can trail the inputs that settle it.  ``coalescing`` marks
     outputs that merge across input events.  A kind that ``keeps_history``
     never forgets an input row; any other forgets a row once it ended more
-    than its lag before the horizon.
+    than its lag before the horizon.  ``partition``, as on
+    :class:`patterns.NodeKind`, builds the module's per-port keys from the
+    build parameters; a kind without one is one bucket.
     """
 
     run: Callable[[tuple, dict], Iterable]
@@ -220,6 +223,18 @@ class MergedKind(NamedTuple):
     lag: str | None = None
     coalescing: bool = False
     keeps_history: bool = False
+    partition: Callable[[dict], tuple] | None = None
+
+
+def _group_partition(params: dict) -> tuple:
+    # Each group is its own bucket: a group's rows depend only on its
+    # members.  An event missing a key attribute joins no group.
+    key = tuple(params.get("key", ()))
+
+    def bucket(e: UnitemporalEvent) -> tuple:
+        group = algebra.group_of(e.payload, key)
+        return () if group is None else (group,)
+    return (bucket,)
 
 
 MERGED_KINDS = {
@@ -236,7 +251,7 @@ MERGED_KINDS = {
     "groupby": MergedKind(lambda ports, p: algebra.groupby_aggregate(
                               ports[0], tuple(p.get("key", ())), p.get("agg", "count"),
                               p.get("target"), p.get("out")),
-                          coalescing=True, keeps_history=True),
+                          coalescing=True, keeps_history=True, partition=_group_partition),
     "alter_lifetime": MergedKind(lambda ports, p: algebra.alter_lifetime(ports[0], p["fns"]),
                                  required=("fns",), lag="lag", keeps_history=True),
     "window": MergedKind(lambda ports, p: algebra.window(ports[0], p["wl"]),
@@ -263,7 +278,8 @@ def build_module(kind: str, **params) -> OpModule:
         lag = params.get(merged.lag, 0) if merged.lag else 0
         return OpModule(kind, merged.arity, False, lambda ports, store: run(ports, params),
                         lag, merged.coalescing,
-                        _retire_never if merged.keeps_history else _retire_after(lag))
+                        _retire_never if merged.keeps_history else _retire_after(lag),
+                        merged.partition(params) if merged.partition else None)
     p = {"w": 1, "k": 2, **params}
     run, accept, blocks = node.run, p.get("accept"), p.get("blocks")
     arity = node.arity(p)
@@ -433,10 +449,10 @@ class OperatorInstance:
             return
         self.level = new_level
         self._apply_horizon()
-        self._pending_switch_rows = self._drain(frontier_moved=True)
+        self._pending_switch_rows.extend(self._drain(frontier_moved=True))
 
     def take_switch_rows(self) -> list[TritemporalEvent]:
-        """Rows released by the most recent level switch."""
+        """Rows released by the level switches since the last call."""
         out = self._pending_switch_rows
         self._pending_switch_rows = []
         return _wire_all(out)
@@ -583,11 +599,17 @@ class OperatorInstance:
 
         The ideal output is the operator's output over the live state, keyed
         by stable key: the union of the buckets' last outputs.  Only stale
-        buckets are evaluated; the others keep their last output.  A module
+        buckets are evaluated; the others keep their last output, so a
+        partitioned module whose state did not change since the last call
+        (a frontier move at infinite blocking) evaluates nothing.  A module
         without a partition is one bucket, which every change reaches.  It
-        is evaluated on every call, also when nothing changed since the last
-        one (a frontier move at infinite blocking): reusing its result there
-        is a separate cache, with its own memory cost.
+        is evaluated on every call, also when nothing changed: reusing its
+        result there is a separate cache, with its own memory cost.
+
+        Every stale bucket is evaluated before any change is filed.  If an
+        evaluation raises, nothing is committed and every stale bucket stays
+        stale, so each later call raises again until the input that caused
+        it is gone, as the one-bucket evaluation of all state would.
 
         Each key that appeared, vanished or changed its end in a bucket's
         output is resolved again over every bucket holding it and filed in
@@ -598,11 +620,8 @@ class OperatorInstance:
             stale = set(self._outputs).union(*(p.buckets for p in self._ports))
         else:
             stale = self._stale
-        self._stale = set()
-        oe = self._out_event_oe
-        changed = []
+        results = []
         for bucket in stale:
-            old = self._outputs.get(bucket, {})
             new = {}
             ports = self._bucket_ports(bucket)
             if ports is not None:
@@ -611,6 +630,12 @@ class OperatorInstance:
                 new = {self._stable_key(e): e for e in result}
                 if len(new) < len(result):
                     new = self._longest_lived((self._stable_key(e), e) for e in result)
+            results.append((bucket, new))
+        self._stale = set()
+        oe = self._out_event_oe
+        changed = []
+        for bucket, new in results:
+            old = self._outputs.get(bucket, {})
             if new:
                 self._outputs[bucket] = new
             else:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
@@ -173,10 +173,16 @@ def concat_payloads(parts: Iterable[Payload]) -> Payload:
     and so on, so concatenation is deterministic and loses nothing.  A part
     may already carry a suffixed name (a nested composite's ``name#2``);
     then the suffix counts on until the name is free.
+
+    Built unchecked: every part is a valid Payload, so the names are
+    strings, ``out`` holds each once, and each value keeps the key its part
+    computed for it.
     """
     out: dict[str, Scalar] = {}
+    keys = []
     counts: dict[str, int] = {}
     for p in parts:
+        value_keys = dict(p._key)
         for name, value in p.pairs:
             n = counts.get(name, 0) + 1
             unique = name if n == 1 else f"{name}#{n}"
@@ -185,7 +191,9 @@ def concat_payloads(parts: Iterable[Payload]) -> Payload:
                 unique = f"{name}#{n}"
             counts[name] = n
             out[unique] = value
-    return Payload(out)
+            keys.append((unique, value_keys[name]))
+    key = frozenset(keys)
+    return Payload._trusted(tuple(out.items()), out, key, hash(key))
 
 
 @dataclass(frozen=True, slots=True)
@@ -234,16 +242,17 @@ def _check_intervals(v_s: Time, v_e: Time, o_s: Time, o_e: Time,
 
 
 def _trusted_constructor(cls):
-    """The unchecked constructor of the slotted dataclass ``cls``.
+    """The unchecked constructor of the slotted class ``cls``.
 
     Generated once, as ``dataclasses`` generates ``__init__``: straight-line
-    code that writes each slot through its descriptor, in field order, and
-    skips ``__post_init__``.  Every field is positional; none has a default.
-    Only for events built from fields that are valid by construction (the
-    engine's and the operators' rebuilds of events they already hold);
-    input from outside uses the checking constructor.
+    code that writes each slot through its descriptor, in slot order (a
+    slotted dataclass's field order), and skips ``__init__`` and
+    ``__post_init__``.  Every slot is positional; none has a default.  Only
+    for objects built from fields that are valid by construction (the
+    engine's and the operators' rebuilds of events and payloads they
+    already hold); input from outside uses the checking constructor.
     """
-    names = [f.name for f in fields(cls)]
+    names = cls.__slots__
     setters = [f"_set_{name}" for name in names]
     source = "\n".join([
         f"def make(_new, _cls, {', '.join(setters)}):",
@@ -262,6 +271,7 @@ def _trusted_constructor(cls):
 
 
 TritemporalEvent._trusted = _trusted_constructor(TritemporalEvent)
+Payload._trusted = _trusted_constructor(Payload)
 
 
 class HistoryTable:

@@ -1,8 +1,12 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
+from cedr import jsonio
+from cedr.algebra import AGGREGATES, TypeMismatch, group_of
+from cedr.disorder import rows_from_unitemporal
 from cedr.engine import (
     MIDDLE,
     STRONG,
@@ -27,6 +31,7 @@ from cedr.temporal import (
     Payload,
     SyncPointPair,
     TritemporalEvent,
+    UnitemporalEvent,
     canonical_at,
     canonical_to,
     logically_equivalent,
@@ -142,8 +147,19 @@ class TestMergedModulePins:
         arity, lag, coalescing, _, _ = MERGED_MODULE_FACTS[kind]
         module = module_under_test(kind)
         assert (module.name, module.arity, module.lag, module.coalescing,
-                module.pattern_mode, module.partition) == (
-            kind, arity, lag, coalescing, False, None)
+                module.pattern_mode) == (kind, arity, lag, coalescing, False)
+        if kind != "groupby":
+            assert module.partition is None
+            return
+        # One bucket per group of the key attribute "g"; an event missing it
+        # joins none.
+        (bucket,) = module.partition
+
+        def event(**payload):
+            return UnitemporalEvent(0, 5, Payload(payload), id="e")
+        assert bucket(event(g=1, x=2)) == (group_of(Payload({"g": 1}), ("g",)),)
+        assert len({bucket(event(g=v)) for v in (1, 1.0, True, "1")}) == 4
+        assert bucket(event(x=2)) == ()
 
     @pytest.mark.parametrize("kind", sorted(MERGED_MODULE_FACTS))
     def test_retire_decisions(self, kind):
@@ -175,6 +191,110 @@ class TestMergedModulePins:
         for name in required:
             with pytest.raises(KeyError, match=name):
                 build_module(kind, **{k: v for k, v in params.items() if k != name})
+
+
+class TestKeyedGroupby:
+    """The group-partitioned groupby against the same module as one bucket.
+
+    After every arrival, guarantee and flush both instances must emit the
+    same bytes, promise the same guarantee, report the same metrics apart
+    from ``evaluated_rows``, and raise on the same calls.
+    """
+
+    def _arrivals(self, rng):
+        # Keys 1, 1.0 and True are distinct groups; some events miss a key
+        # attribute or the target.
+        events = []
+        for i in range(rng.randint(4, 14)):
+            payload = {}
+            for name, values, p in (("g", (1, 1.0, True, "1", 2), 0.85),
+                                    ("h", ("a", 0, False), 0.85),
+                                    ("x", (1, 2, 0.5, -0.0, 3.25, 0.1), 0.9)):
+                if rng.random() < p:
+                    payload[name] = rng.choice(values)
+            v_s = rng.randint(0, 40)
+            v_e = INF if rng.random() < 0.15 else v_s + rng.randint(1, 12)
+            events.append(UnitemporalEvent(v_s, v_e, Payload(payload), id=f"e{i}"))
+        rows = encode_stream(rows_from_unitemporal(events, key_prefix="u"),
+                             rng, skew=4, retract_prob=0.3)
+        return [(0, r) for r in rows]
+
+    @staticmethod
+    def _lockstep(module, level, calls):
+        """Make each call on a keyed and a one-bucket instance; compare them."""
+        keyed = OperatorInstance(module, level)
+        whole = OperatorInstance(replace(module, partition=None), level)
+        assert keyed.module.partition is not None
+        for call in calls:
+            seen = []
+            for inst in (keyed, whole):
+                try:
+                    rows, promise = call(inst)
+                    seen.append((jsonio.dumps_events(rows), promise))
+                except TypeMismatch:
+                    seen.append(TypeMismatch)
+                metrics = inst.metrics()
+                del metrics["evaluated_rows"]
+                seen.append(metrics)
+            assert seen[:2] == seen[2:]
+        assert keyed.evaluated_rows <= whole.evaluated_rows
+        return keyed, whole
+
+    @staticmethod
+    def _calls(arrivals, schedule):
+        calls = []
+        for i, (port, r) in enumerate(arrivals):
+            calls += [lambda inst, port=port, threshold=threshold:
+                      inst.declare_guarantee(threshold, port)
+                      for pos, port, threshold in schedule if pos == i]
+            calls.append(lambda inst, port=port, r=r: (inst.ingest(r, port), None))
+        calls += [lambda inst, port=port, threshold=threshold:
+                  inst.declare_guarantee(threshold, port)
+                  for pos, port, threshold in schedule if pos >= len(arrivals)]
+        calls.append(lambda inst: (inst.flush(), None))
+        return calls
+
+    @pytest.mark.parametrize("key", [(), ("g",), ("g", "h")], ids=len)
+    @pytest.mark.parametrize("agg", AGGREGATES)
+    def test_matches_one_bucket(self, key, agg):
+        module = build_module("groupby", key=key, agg=agg, target="x")
+        saved = whole_rows = 0
+        for trial in range(4):
+            rng = random.Random(f"keyed-groupby-{agg}-{len(key)}-{trial}")
+            arrivals = self._arrivals(rng)
+            calls = self._calls(arrivals, honest_schedule(arrivals, every=3))
+            for level in (STRONG, MIDDLE, WEAK):
+                keyed, whole = self._lockstep(module, level, calls)
+                saved += whole.evaluated_rows - keyed.evaluated_rows
+                whole_rows += whole.output_rows
+        assert whole_rows > 0
+        assert saved > 0 or key == ()
+
+    def test_a_bad_value_fails_the_same_calls(self):
+        # Each evaluation of group 1 raises while its bad row is live; the
+        # group-2 arrival must not slip past it.
+        module = build_module("groupby", key=("g",), agg="sum", target="x")
+        feed = [row("K0", "a", 0, INF, 1, 9, 0, payload={"g": 1, "x": 5}),
+                row("K1", "b", 0, INF, 2, 9, 0, payload={"g": 1, "x": "bad"}),
+                row("K2", "c", 0, INF, 3, 9, 0, payload={"g": 2, "x": 3}),
+                row("K3", "d", 0, INF, 4, 9, 0, payload={"g": 1, "x": 4}),
+                row("K1", "b", 0, INF, 2, 2, 0, payload={"g": 1, "x": "bad"})]
+        raised = []
+
+        def ingest(i, r):
+            def call(inst):
+                try:
+                    return inst.ingest(r), None
+                except TypeMismatch:
+                    raised.append(i)
+                    raise
+            return call
+        calls = [ingest(i, r) for i, r in enumerate(feed)]
+        calls.append(lambda inst: (inst.flush(), None))
+        keyed, _ = self._lockstep(module, MIDDLE, calls)
+        assert raised == [1, 1, 2, 2, 3, 3]
+        assert {(r.payload["g"], r.payload["x"]) for r in keyed.output_rows_list()} >= {
+            (1, 5), (1, 9), (2, 3)}
 
 
 class TestStrongMatchesOrderedRun:
@@ -506,6 +626,18 @@ class TestSwitchLevel:
         inst.ingest(r1, 0)
         with pytest.raises(NotASyncPoint):
             inst.switch_level(STRONG, SyncPointPair(0, 99))
+
+    def test_second_switch_keeps_the_rows_the_first_released(self):
+        inst = OperatorInstance(module_under_test("union"), STRONG)
+        for i in range(3):
+            inst.ingest(row(f"K{i}", f"e{i}", 0, INF, i, i + 5, 0, payload={"g": i}), 0)
+        at = SyncPointPair(10**9, 10**9)
+        inst.switch_level(MIDDLE, at)
+        inst.switch_level(WEAK, at)
+        taken = inst.take_switch_rows()
+        assert len(taken) == inst.output_rows == 3
+        assert taken == inst.output_rows_list()
+        assert inst.take_switch_rows() == []
 
     def test_switch_to_same_level_is_noop(self):
         inst = OperatorInstance(module_under_test("select"), MIDDLE)

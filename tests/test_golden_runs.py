@@ -10,8 +10,9 @@ metrics) fails the case that shows it.
 The ``cedr run`` cases cover the CIDR07 query on three seeds, two sizes,
 three levels and two guarantee rates, and four other operators on one
 input at each level.  The merged ``union -> difference -> groupby`` chain
-is driven as the ``rollup-strong`` benchmark drives it, and its output
-rows and metrics are hashed the same way.  Two queries with wrappers at
+is driven as the ``rollup-strong`` benchmark drives it, at STRONG on
+twelve inputs and at MIDDLE and WEAK on one, and its output rows and
+metrics are hashed the same way.  Two queries with wrappers at
 the root (slices, and in one a projection) are pinned too; for them the
 tests also check that the output's content equals the denotation and that
 ``--metrics`` counts the rows written.
@@ -81,7 +82,10 @@ WRAPPED_QUERIES = {
     "leaf": "EVENT q\nWHEN INSTALL x # [300, 2000]\n",
 }
 WRAPPED_RUNS = [(name, level) for name in WRAPPED_QUERIES for level in LEVELS]
-CHAIN_RUNS = [(seed, part) for seed in (1, 2, 1009) for part in range(4)]
+# The chain at STRONG, as the benchmark runs it, and at the other levels on
+# one input.
+CHAIN_RUNS = ([(seed, part, "strong") for seed in (1, 2, 1009) for part in range(4)]
+              + [(1, 0, "middle"), (1, 0, "weak")])
 STREAM_SEEDS = (1, 2)
 STREAM_ROWS, FILE_ROWS = 1000, 100
 
@@ -153,12 +157,12 @@ def wrapped_hashes(workdir: Path, name: str, level: str) -> dict:
     return run_hashes(workdir, 1, 240, level, 20, WRAPPED_QUERIES[name])
 
 
-def chain_hashes(seed: int, part: int) -> dict:
-    """The ``rollup-strong`` chain at STRONG on ``gen.rollup_inputs(seed, 150, part)``."""
+def chain_hashes(seed: int, part: int, level: str) -> dict:
+    """The ``rollup-strong`` chain at ``level`` on ``gen.rollup_inputs(seed, 150, part)``."""
     _, wire = gen.rollup_inputs(seed, workloads.ROLLUP_EVENTS_PER_STREAM, part)
     feed = workloads.arrival_order(wire)
     schedule = workloads.guarantee_schedule(feed, sorted(wire), workloads.GUARANTEE_EVERY)
-    chain = workloads.RollupChain(engine.STRONG)
+    chain = workloads.RollupChain(engine.ConsistencyLevel.named(level))
     workloads.drive(chain, feed, schedule, chain.flush)
     metrics = json.dumps(chain.metrics(), sort_keys=True)
     return {"output": hashlib.sha256(jsonio.dumps_events(chain.outputs).encode()).hexdigest(),
@@ -173,8 +177,8 @@ def query_id(name, level) -> str:
     return f"query/{name}/{level}"
 
 
-def chain_id(seed, part) -> str:
-    return f"chain/{seed}/{part}"
+def chain_id(seed, part, level) -> str:
+    return f"chain/{seed}/{part}" if level == "strong" else f"chain/{seed}/{part}/{level}"
 
 
 def wrapped_id(name, level) -> str:

@@ -87,6 +87,33 @@ class TestTimestampsAndPayload:
                                   Payload({"m#2": 3})])
         assert list(merged.items()) == [("m", 1), ("m#2", 2), ("m#2#2", 3)]
 
+    def test_concat_equals_the_checked_payload(self):
+        # concat_payloads builds its result unchecked from the parts' keys;
+        # it must be the Payload the checking constructor builds.
+        import random
+
+        rng = random.Random("concat-keys")
+        values = [0.0, -0.0, float("nan"), True, 1, 1.0, "1", False, 0, 2.5]
+        names = ["m", "a", "m#2", "a#2#2", "x"]
+        checked = 0
+        for _ in range(300):
+            parts = [Payload({name: rng.choice(values)
+                              for name in rng.sample(names, rng.randint(0, 3))})
+                     for _ in range(rng.randint(1, 4))]
+            if rng.random() < 0.5:
+                # A nested composite's part, carrying suffixed names.
+                parts.insert(rng.randrange(len(parts) + 1), concat_payloads(parts[:2]))
+            got = concat_payloads(parts)
+            want = Payload(got.pairs)
+            assert got.pairs == want.pairs
+            assert got == want and want == got
+            assert hash(got) == hash(want)
+            assert repr(got) == repr(want)
+            assert got.canon == want.canon
+            assert all(got[name] is value for name, value in want.pairs)
+            checked += len(got)
+        assert checked > 1000
+
     def test_bool_and_int_payload_values_distinct(self):
         assert Payload({"x": True}) != Payload({"x": 1})
 
