@@ -5,7 +5,12 @@ Each case writes seeded ``perfbench.gen`` inputs as JSON lines, runs the
 read or write, and of ``--metrics``, with ``golden_runs.json``.  A change
 that keeps the output the same keeps every hash; one that changes a byte
 anywhere on the way (the JSON-lines writer, the reader, the engine, the
-metrics) fails the case that shows it.
+metrics) fails the case that shows it.  Each ``cedr run`` case also pins
+its clock-free output: the hash of the output rows without their arrival
+stamps ``cs``, and the ``output_rows``, ``retraction_rows`` and
+``dropped_rows`` totals.  The arrival clock ticks once per restamp and per
+emitted row inside the engine, so a change to the engine's internal
+hand-offs can move ``cs`` while these pins stay put.
 
 The ``cedr run`` cases cover the CIDR07 query on three seeds, two sizes,
 three levels and two guarantee rates, and four other operators on one
@@ -111,7 +116,20 @@ def run_hashes(workdir: Path, seed: int, n: int, level: str, every: int,
     out, metrics = workdir / "out.jsonl", workdir / "metrics.json"
     code = main([*argv, "--output", str(out), "--metrics", str(metrics)])
     return {"exit": code, "inputs": inputs.hexdigest(),
-            "output": sha(out), "metrics": sha(metrics)}
+            "output": sha(out), "metrics": sha(metrics),
+            "clock_free": clock_free(out, metrics)}
+
+
+def clock_free(out: Path, metrics: Path) -> dict:
+    """The hash of the output rows without ``cs``, and the row totals of ``--metrics``."""
+    rows = hashlib.sha256()
+    for line in out.read_text("utf-8").splitlines():
+        obj = json.loads(line)
+        del obj["cs"]
+        rows.update(json.dumps(obj, sort_keys=True).encode("utf-8") + b"\n")
+    total = json.loads(metrics.read_text("utf-8"))["total"]
+    return {"rows": rows.hexdigest(),
+            **{key: total[key] for key in ("output_rows", "retraction_rows", "dropped_rows")}}
 
 
 def stream_hashes(workdir: Path, seed: int) -> dict:
