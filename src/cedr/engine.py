@@ -407,7 +407,7 @@ class OperatorInstance:
         if sync > self._max_seen:
             self._max_seen = sync
         self._buffer.append(_Buffered(sync, port, row, event))
-        out = self._drain()
+        out = self._drain(horizon)
         self._sample_state()
         return out
 
@@ -422,9 +422,13 @@ class OperatorInstance:
         if threshold < p.threshold:
             raise NonMonotoneGuarantee(
                 f"threshold regressed from {p.threshold} to {threshold} on port {port}")
+        # The rows this guarantee releases were admitted under the horizon
+        # in force before it, so they are reconciled under that horizon;
+        # only then does the new one forget state.
+        before = self._horizon()
         p.threshold = threshold
+        out = self._drain(before, frontier_moved=True)
         self._apply_horizon()
-        out = self._drain(frontier_moved=True)
         self._sample_state()
         return out, self.output_guarantee()
 
@@ -447,9 +451,10 @@ class OperatorInstance:
             raise NotASyncPoint(f"({at.t_o}, {at.t_c}) is not a sync point of the output")
         if new_level == self.level:
             return
+        before = self._horizon()
         self.level = new_level
+        self._pending_switch_rows.extend(self._drain(before, frontier_moved=True))
         self._apply_horizon()
-        self._pending_switch_rows.extend(self._drain(frontier_moved=True))
 
     def take_switch_rows(self) -> list[TritemporalEvent]:
         """Rows released by the level switches since the last call."""
@@ -542,7 +547,12 @@ class OperatorInstance:
                 del self._due[key]
                 del self._tracked[key]
 
-    def _drain(self, frontier_moved: bool = False) -> list[tuple]:
+    def _drain(self, horizon: Time, frontier_moved: bool = False) -> list[tuple]:
+        """Apply the buffered rows the release frontier passed, then reconcile.
+
+        ``horizon`` is the memory horizon the rows were admitted under: no
+        result anchored behind it, less the operator lag, is introduced.
+        """
         release = self._release_frontier()
         ready = [b for b in self._buffer if b.sync <= release]
         if ready:
@@ -556,7 +566,7 @@ class OperatorInstance:
                 self._apply(b)
         elif not (frontier_moved and self.level.blocking == INF):
             return []
-        return self._reconcile()
+        return self._reconcile(horizon)
 
     def _apply(self, b: _Buffered) -> None:
         p = self._ports[b.port]
@@ -752,7 +762,7 @@ class OperatorInstance:
         self._clock[0] += 1
         return c_s
 
-    def _reconcile(self) -> list[tuple]:
+    def _reconcile(self, horizon: Time) -> list[tuple]:
         self.reconciles += 1
         self._refresh()
         bound = None
@@ -760,7 +770,7 @@ class OperatorInstance:
             frontier = self._guarantee_frontier()
             bound = frontier - self.module.lag if frontier != NEG else NEG
 
-        suppress_below = self._horizon() - self.module.lag
+        suppress_below = horizon - self.module.lag
 
         # (anchor, 0 for a tracked key or 1 for an untracked one, repr of
         # the stable key, the key, its steps): a total order, as the repr
@@ -858,10 +868,17 @@ class _Node:
 class Pipeline:
     """A compiled plan wired into a tree of operator instances.
 
-    Rows fed to a named stream pass through every leaf reading it; each
-    instance's output is the next one's input.  Slice and projection
-    wrappers at the plan root run inside the root operator's module, so
-    its reconcile diffs, keys and counts the events they give.  The whole
+    A stream leaf is the identity on its stream, so a leaf below the root
+    has no instance: it is a port of its parent.  A row fed to a stream is
+    decoded once and handed to every port a leaf of that stream names,
+    except that a live event failing the leaf's pushed-down predicates is
+    dropped there; a guarantee on the stream is declared on those ports.
+    Only a leaf at the root, which has no parent, is an instance.  Each
+    instance's output is its parent's input.  Instances are named by kind
+    and preorder position, leaves counted, and ``node_levels`` naming
+    anything else raises ``ValueError``.  Slice and projection wrappers
+    at the plan root run inside the root operator's module, so its
+    reconcile diffs, keys and counts the events they give.  The whole
     pipeline shares one arrival clock and one lineage store, so predicate
     injection can resolve contributor references anywhere.
     """
@@ -872,13 +889,19 @@ class Pipeline:
         self._store: dict = {}
         self._clock = [0]
         self._nodes: list[_Node] = []
-        self._leaves: dict[str, list[_Node]] = {}
+        # Per stream, each port it feeds: (node, port, the leaf's accept hook).
+        self._leaves: dict[str, list[tuple]] = {}
         self._counter = 0
         node_levels = dict(node_levels or {})
         self._root = self._build(plan, None, 0, level, node_levels)
+        names = [n.instance.name for n in self._nodes]
+        unknown = sorted(set(node_levels) - set(names))
+        if unknown:
+            raise ValueError(f"node_levels names no operator instance: {', '.join(unknown)}"
+                             f" (the instances are {', '.join(names)})")
         self.outputs: list[TritemporalEvent] = []
 
-    def _build(self, plan, parent, parent_port, level, node_levels) -> _Node:
+    def _build(self, plan, parent, parent_port, level, node_levels) -> _Node | None:
         kind = patterns.node_kind(plan)
         wrappers = []  # the root's slice and projection wrappers, innermost first
         while parent is None and kind.wrapper:
@@ -889,6 +912,11 @@ class Pipeline:
         self._counter += 1
         if kind.wrapper:
             raise TypeError(f"cannot build an operator for plan node {plan!r}")
+        ports = kind.ports_of(plan)
+        if not ports and parent is not None:
+            self._leaves.setdefault(plan.stream, []).append(
+                (parent, parent_port, make_accept(plan, self._store)))
+            return None
         module = build_module(kind.tag, accept=make_accept(plan, self._store),
                               blocks=make_blocks(plan, self._store),
                               partition=make_partition(plan, self._store),
@@ -907,9 +935,8 @@ class Pipeline:
                                     name=name, store=self._store, clock=self._clock)
         node = _Node(instance, parent, parent_port)
         self._nodes.append(node)
-        ports = kind.ports_of(plan)
-        if not ports:  # a leaf reads its stream
-            self._leaves.setdefault(plan.stream, []).append(node)
+        if not ports:  # a root leaf reads its stream and tests its own predicates
+            self._leaves.setdefault(plan.stream, []).append((node, 0, None))
         for i, child in enumerate(ports):
             self._build(child, node, i, level, node_levels)
         return node
@@ -920,19 +947,20 @@ class Pipeline:
 
     def feed(self, stream: str, row: TritemporalEvent) -> list[TritemporalEvent]:
         released = []
-        leaves = self._leaves.get(stream, ())
-        if leaves:
-            # Decoded once for every leaf reading the stream.
+        ports = self._leaves.get(stream, ())
+        if ports:
+            # Decoded once for every port the stream feeds.
             event = pattern_event_from_row(row) if row.o_s < row.o_e else None
-            for leaf in leaves:
-                released.extend(self._push(leaf, 0, row, event))
+            for node, port, accept in ports:
+                if event is None or accept is None or accept(((0, event),)):
+                    released.extend(self._push(node, port, row, event))
         self.outputs.extend(released)
         return released
 
     def guarantee(self, stream: str, threshold: Time) -> list[TritemporalEvent]:
         released = []
-        for leaf in self._leaves.get(stream, []):
-            released.extend(self._propagate_guarantee(leaf, 0, threshold))
+        for node, port, _ in self._leaves.get(stream, ()):
+            released.extend(self._propagate_guarantee(node, port, threshold))
         self.outputs.extend(released)
         return released
 

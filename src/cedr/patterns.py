@@ -635,10 +635,12 @@ PartitionKey = Callable[[PatternEvent], tuple]
 def make_partition(node, store: EventStore) -> tuple[PartitionKey | None, ...] | None:
     """Per-port hash-partition keys for a leaf, a SEQUENCE or an UNLESS, or None.
 
-    A leaf files each event under its own id.  A SEQUENCE is keyed on its
-    first ``=`` predicate between variables of two different children, an
-    UNLESS on its first ``=`` negation predicate between a variable of the
-    child and one of the blocker.  The keys follow
+    A leaf files each event under its own id; a pipeline runs a leaf as an
+    operator only at its root, and below the root the leaf is a port of its
+    parent.  A SEQUENCE is keyed on its first ``=`` predicate between
+    variables of two different children, an UNLESS on its first ``=``
+    negation predicate between a variable of the child and one of the
+    blocker.  The keys follow
     :meth:`Predicate.test`: an unresolved variable makes the predicate
     vacuously true, and a missing attribute makes it false unless the
     left-hand variable is unresolved.  So every SEQUENCE match shares a

@@ -94,6 +94,24 @@ class TestRun:
         err = capsys.readouterr().err
         assert "line 1" in err or "line 2" in err
 
+    @pytest.mark.parametrize("level", [["--memory", "1000", "--block", "1000"],
+                                       ["--level", "strong"], ["--level", "weak"]])
+    def test_finite_memory_with_blocking_keeps_blocked_rows(self, tmp_path, level):
+        # At a finite M with B > 0 the two rows wait in the buffer until
+        # flush, whose guarantee moves the horizon to infinity.  They were
+        # admitted in time, so they are written, as at the named levels.
+        q = tmp_path / "q.cedr"
+        q.write_text("EVENT q WHEN INSTALL x\n")
+        write_stream(tmp_path / "install.jsonl",
+                     [machine_event("i1", 5), machine_event("i2", 8)])
+        out, metrics = tmp_path / "out.jsonl", tmp_path / "metrics.json"
+        assert main(["run", "--query", str(q), *level,
+                     "--input", f"INSTALL={tmp_path / 'install.jsonl'}",
+                     "--output", str(out), "--metrics", str(metrics)]) == 0
+        assert [(r.id, r.o_s) for r in loads_events(out.read_text())] == [("i1", 5), ("i2", 8)]
+        total = json.loads(metrics.read_text())["total"]
+        assert (total["output_rows"], total["dropped_rows"]) == (2, 0)
+
     def test_bad_query_exits_one(self, tmp_path):
         q = tmp_path / "bad.cedr"
         q.write_text("EVENT e WHEN FOO(A)")

@@ -776,8 +776,10 @@ class TestWiringFormat:
 
         for src in TestPipelineCrossLevel.QUERY_PLAN_SOURCES:
             plan = compile_query(parse(src).ast).plan
-            obj = pipeline_to_obj(Pipeline(plan, MIDDLE, node_levels={"leaf1": WEAK}))
+            root = Pipeline(plan, MIDDLE).root_instance().name
+            obj = pipeline_to_obj(Pipeline(plan, MIDDLE, node_levels={root: WEAK}))
             assert obj["plan"] == plan_to_obj(plan)
+            assert obj["node_levels"][root] == {"memory": 0, "blocking": 0}
 
     def test_stacked_wrappers_keep_their_order(self):
         from cedr.engine import pipeline_to_obj
@@ -795,6 +797,166 @@ class TestWiringFormat:
             Pipeline(plan, MIDDLE)
         with pytest.raises(TypeError):
             Pipeline(("not", "a", "plan"), MIDDLE)
+
+    def test_node_levels_must_name_instances(self):
+        # A leaf below the root is a port of its parent, so its name, like
+        # any other unknown name, sets no level and is refused.
+        from cedr.engine import pipeline_from_obj, pipeline_to_obj
+
+        with pytest.raises(ValueError, match=r"leaf1, nosuch .*unlessop0, sequenceop1"):
+            Pipeline(self._plan(), MIDDLE, node_levels={"leaf1": WEAK, "nosuch": WEAK})
+        obj = pipeline_to_obj(self._pipe())
+        assert set(obj["node_levels"]) == {"unlessop0", "sequenceop1"}
+        obj["node_levels"]["leaf4"] = {"name": "weak"}
+        with pytest.raises(ValueError, match="leaf4"):
+            pipeline_from_obj(obj)
+
+
+class TestLeafPorts:
+    """A leaf below the root is a port of its parent, not an instance.
+
+    Each case compares the output content after flush with the denotation
+    at STRONG, MIDDLE and WEAK.
+    """
+
+    LEVELS = (STRONG, MIDDLE, WEAK)
+
+    @staticmethod
+    def _denotation(plan, ideal):
+        from cedr.disorder import rows_from_pattern
+        from cedr.patterns import evaluate_plan
+
+        return content_set(rows_from_pattern(evaluate_plan(plan, ideal), key_prefix="o"))
+
+    @staticmethod
+    def _encode(rng, ideal):
+        from cedr.disorder import rows_from_pattern
+
+        return {name: encode_stream(rows_from_pattern(events, key_prefix=f"{name}k"),
+                                    rng, skew=3, retract_prob=0.5)
+                for name, events in ideal.items()}
+
+    def test_pushed_down_predicate_drops_failing_events(self):
+        # x's predicate lands on the A leaf.  About half of A's events fail
+        # it, and some of those are retracted; the SEQUENCE's port never
+        # holds a live event that fails it.
+        from cedr.query import compile_query, parse
+
+        plan = compile_query(parse(
+            "EVENT q WHEN SEQUENCE(A x, B y, 10) WHERE {x.Machine_Id = 'm1'}").ast).plan
+        assert plan.children[0].preds and not plan.preds
+        failing_retractions = matched = 0
+        for trial in range(6):
+            rng = random.Random(f"leaf-pred-{trial}")
+            ideal = {name: gen_pattern(rng, f"{name}_", 10) for name in ("A", "B")}
+            rows = self._encode(rng, ideal)
+            seen = set()
+            for r in rows["A"]:
+                failing_retractions += r.k in seen and r.payload["Machine_Id"] != "m1"
+                seen.add(r.k)
+            want = self._denotation(plan, ideal)
+            matched += len(want)
+            for level in self.LEVELS:
+                pipe = TestPipelineCrossLevel()._drive(plan, rows, level)
+                assert content_set(pipe.outputs) == want, (trial, level)
+                assert set(pipe.metrics()["nodes"]) == {"sequenceop0"}
+                port = pipe.root_instance()._ports[0]
+                assert all(r.payload["Machine_Id"] == "m1"
+                           for r in port.reduced.values() if r.o_s < r.o_e)
+        assert failing_retractions and matched
+
+    def test_one_stream_feeds_two_ports(self):
+        # Both leaves read A: every row and every guarantee on A reaches
+        # ports 0 and 1 of the SEQUENCE.
+        from cedr.query import compile_query, parse
+
+        plan = compile_query(parse(
+            "EVENT q WHEN SEQUENCE(A x, A y, 10) WHERE {x.Machine_Id = y.Machine_Id}").ast).plan
+        raised = matched = 0
+
+        def same_frontiers(pipe):
+            nonlocal raised
+            first, second = pipe.root_instance()._ports
+            assert first.threshold == second.threshold
+            raised += first.threshold >= 0
+
+        for trial in range(6):
+            rng = random.Random(f"leaf-twice-{trial}")
+            ideal = {"A": gen_pattern(rng, "A_", 12)}
+            rows = self._encode(rng, ideal)
+            want = self._denotation(plan, ideal)
+            matched += len(want)
+            for level in self.LEVELS:
+                pipe = TestPipelineCrossLevel()._drive(plan, rows, level, after=same_frontiers)
+                assert [port for _, port, _ in pipe._leaves["A"]] == [0, 1]
+                assert content_set(pipe.outputs) == want, (trial, level)
+        assert raised and matched
+
+    def test_guarantee_releases_through_a_leaf_port_at_strong(self):
+        # At STRONG the composite waits until both streams' guarantees pass
+        # its anchor by the scope; the second guarantee releases it.
+        a1, b1 = (PatternEvent("a1", 1, 30, 1, INF, rt=1),
+                  PatternEvent("b1", 3, 30, 3, INF, rt=3))
+        plan = SequenceOp((Leaf("A", "x"), Leaf("B", "y")), 10)
+        want = self._denotation(plan, {"A": [a1], "B": [b1]})
+        assert want
+        for level in self.LEVELS:
+            pipe = Pipeline(plan, level)
+            fed = (pipe.feed("A", pattern_event_to_row(a1, "K1", 0))
+                   + pipe.feed("B", pattern_event_to_row(b1, "L1", 1)))
+            first = pipe.guarantee("A", 20)
+            second = pipe.guarantee("B", 20)
+            flushed = pipe.flush()
+            assert content_set(pipe.outputs) == want, level
+            if level == STRONG:
+                assert (fed, first, flushed) == ([], [], [])
+                assert content_set(second) == want
+            else:
+                assert content_set(fed) == want
+                assert first == second == flushed == []
+
+
+class TestLevelGrid:
+    """Every (M, B) level's content after flush equals the denotation.
+
+    The CIDR07 query on 1200 insert-only, disordered arrivals, with honest
+    guarantees every 20 arrivals: nothing arrives behind a guarantee, so no
+    level may lose or drop a result.  A finite M with B > 0 once lost the
+    rows its blocking held whenever a guarantee released them behind the
+    new horizon.
+    """
+
+    @pytest.fixture(scope="class")
+    def cidr07(self):
+        from cedr.disorder import bounded_shuffle, restamp_arrivals, rows_from_pattern
+        from cedr.query import compile_query, parse
+
+        from perfbench import gen, workloads
+
+        plan = compile_query(parse(workloads.CIDR07_QUERY).ast).plan
+        rng = random.Random("level-grid")
+        ideal, wire = {}, {}
+        for name in ("INSTALL", "SHUTDOWN", "RESTART"):
+            # Events up to 150 ticks apart hold a few events per machine in
+            # the 12-hour scope, so the twelve levels run in a few seconds.
+            ideal[name] = gen.pattern_stream(rng, name[0].lower(), 400, max_gap=150)
+            wire[name] = restamp_arrivals(bounded_shuffle(
+                rows_from_pattern(ideal[name], key_prefix=name[0]), 8, rng))
+        feed = workloads.arrival_order(wire)
+        schedule = workloads.guarantee_schedule(feed, sorted(wire), 20)
+        return plan, feed, schedule, TestLeafPorts._denotation(plan, ideal)
+
+    @pytest.mark.parametrize("memory, blocking", sorted(
+        {(m, min(b, m)) for m in (0, 5, 50, INF) for b in (0, 1, 5, INF)}))
+    def test_content_equals_the_denotation(self, cidr07, memory, blocking):
+        from perfbench import workloads
+
+        plan, feed, schedule, want = cidr07
+        assert len(feed) == 1200 and len(want) > 300
+        pipe = Pipeline(plan, ConsistencyLevel(memory, blocking))
+        workloads.drive(pipe, feed, schedule, pipe.flush)
+        assert content_set(pipe.outputs) == want
+        assert pipe.metrics()["total"]["dropped_rows"] == 0
 
 
 class TestPipelineCrossLevel:
@@ -1253,7 +1415,10 @@ class TestBucketedReconcile:
     def test_reconciles_evaluate_only_the_touched_buckets(self):
         # A CIDR07 feed over 10 machine ids.  When every reconcile evaluated
         # all retained state, the UNLESS node evaluated 2818 rows over 84
-        # reconciles and the SEQUENCE node 9947 over 154 on this feed.
+        # reconciles and the SEQUENCE node 9947 over 154 on this feed.  That
+        # was with the leaves as instances, which hand on only the arrivals
+        # that change their output; as ports of their parents, the leaves
+        # hand on every arrival, for 90 and 168 reconciles.
         from cedr.disorder import rows_from_pattern
         from cedr.patterns import evaluate_plan
         from cedr.query import compile_query, parse
@@ -1272,11 +1437,12 @@ class TestBucketedReconcile:
         assert content_set(pipe.outputs) == content_set(
             rows_from_pattern(evaluate_plan(plan, ideal), key_prefix="o"))
         nodes = pipe.metrics()["nodes"]
-        for name, rows_before, reconciles in (("unlessop0", 2818, 84),
-                                              ("sequenceop1", 9947, 154)):
+        for name, rows_before, reconciles_before, reconciles in (
+                ("unlessop0", 2818, 84, 90), ("sequenceop1", 9947, 154, 168)):
             m = nodes[name]
             assert m["reconciles"] == reconciles
-            assert m["evaluated_rows"] / m["reconciles"] <= rows_before / reconciles / 2
+            assert (m["evaluated_rows"] / m["reconciles"]
+                    <= rows_before / reconciles_before / 2)
 
 
 def _full_diff(inst) -> list:
@@ -1372,14 +1538,15 @@ class TestIncrementalDiff:
         assert switches > 10
 
     def test_leaves_evaluate_only_the_changed_event(self):
-        # A 360-event CIDR07 feed over 10 machine ids at MIDDLE.  When a leaf
+        # 120 events per stream over 10 machine ids at MIDDLE.  When a leaf
         # was one bucket, each of its reconciles re-read every retained row,
-        # about 61 rows per reconcile on this feed.
+        # about 61 rows per reconcile on this feed.  Only a root leaf is an
+        # instance; a leaf below the root is a port of its parent and has
+        # no entry of its own.
         from cedr.disorder import rows_from_pattern
         from cedr.patterns import evaluate_plan, primitive
-        from cedr.query import compile_query, parse
+        from cedr.query import compile_query, leaf_streams, parse
 
-        plan = compile_query(parse(TestPipelineCrossLevel.QUERY_PLAN_SOURCES[0]).ast).plan
         rng = random.Random("leaf-buckets")
         ideal, rows = {}, {}
         for name in ("A", "B", "C"):
@@ -1391,22 +1558,28 @@ class TestIncrementalDiff:
             ideal[name] = events
             rows[name] = encode_stream(rows_from_pattern(events, key_prefix=f"{name}k"),
                                        rng, skew=8, retract_prob=0.1)
-        pipe = TestPipelineCrossLevel()._drive(plan, rows, MIDDLE)
-        assert content_set(pipe.outputs) == content_set(
-            rows_from_pattern(evaluate_plan(plan, ideal), key_prefix="o"))
-        leaves = {name: m for name, m in pipe.metrics()["nodes"].items()
-                  if name.startswith("leaf")}
-        assert len(leaves) == 3
-        for name, m in leaves.items():
-            assert m["reconciles"] >= 120
-            assert m["evaluated_rows"] / m["reconciles"] <= 1.1, name
+        for src, instances in (
+                (TestPipelineCrossLevel.QUERY_PLAN_SOURCES[0], {"unlessop0", "sequenceop1"}),
+                ("EVENT q WHEN A x WHERE {x.Machine_Id != 'm3'}", {"leaf0"})):
+            ast = parse(src).ast
+            plan = compile_query(ast).plan
+            fed = {name: rows[name] for name in leaf_streams(ast)}
+            pipe = TestPipelineCrossLevel()._drive(plan, fed, MIDDLE)
+            assert content_set(pipe.outputs) == content_set(
+                rows_from_pattern(evaluate_plan(plan, ideal), key_prefix="o")), src
+            assert set(pipe.metrics()["nodes"]) == instances
+        m = pipe.metrics()["nodes"]["leaf0"]
+        assert m["reconciles"] >= 120
+        assert m["evaluated_rows"] / m["reconciles"] <= 1.1
 
 
 class TestDecodeOnce:
     def test_decodes_do_not_grow_with_retained_state(self, monkeypatch):
         # Each retained row is decoded when it arrives, not again on every
-        # reconcile: decodes stay within one per ingest plus one per
-        # emitted row, however much state the operators hold.
+        # reconcile: decodes stay within one per arrival plus one per
+        # emitted row, however much state the operators hold.  A pipeline
+        # hands rows on inside its instances and never calls
+        # OperatorInstance.ingest, so arrivals are counted at Pipeline.feed.
         import cedr.engine as engine
         from cedr.disorder import rows_from_pattern
         from cedr.query import compile_query, parse
@@ -1418,23 +1591,24 @@ class TestDecodeOnce:
                                       key_prefix=f"{name}k"),
                     rng, skew=8, retract_prob=0.1)
                 for name in ("A", "B", "C")}
-        counts = {"decodes": 0, "ingests": 0}
-        decode, ingest = engine.pattern_event_from_row, OperatorInstance.ingest
+        counts = {"decodes": 0, "arrivals": 0}
+        decode, feed = engine.pattern_event_from_row, Pipeline.feed
 
         def counted_decode(row):
             counts["decodes"] += 1
             return decode(row)
 
-        def counted_ingest(self, row, port=0):
-            counts["ingests"] += 1
-            return ingest(self, row, port)
+        def counted_feed(self, stream, row):
+            counts["arrivals"] += 1
+            return feed(self, stream, row)
 
         monkeypatch.setattr(engine, "pattern_event_from_row", counted_decode)
-        monkeypatch.setattr(OperatorInstance, "ingest", counted_ingest)
+        monkeypatch.setattr(Pipeline, "feed", counted_feed)
         pipe = TestPipelineCrossLevel()._drive(plan, rows, MIDDLE)
         emitted = sum(m["output_rows"] for m in pipe.metrics()["nodes"].values())
         assert pipe.metrics()["total"]["max_state_rows"] > 100
-        assert counts["decodes"] <= counts["ingests"] + emitted
+        assert counts["arrivals"] == sum(map(len, rows.values()))
+        assert counts["decodes"] <= counts["arrivals"] + emitted
 
 
 class TestSlicedRetractions:
@@ -1494,9 +1668,11 @@ class TestSharedStableKey:
     """Two live lineages of one event id give outputs that share a stable key.
 
     A re-encoded retraction can bring a second lineage of ``a1`` before the
-    first one's removal.  Which output the operator keeps must not depend on
-    the iteration order of its result set, which follows the string hash
-    seed: the rows emitted must be the same under every seed.
+    first one's removal.  The SEQUENCE's port then holds both, and each
+    makes a composite with ``b1`` that ends where its ``a1`` does, under one
+    stable key.  Which output the operator keeps must not depend on the
+    iteration order of its result set, which follows the string hash seed:
+    the rows emitted must be the same under every seed.
     """
 
     SCRIPT = """
@@ -1505,12 +1681,12 @@ from cedr.engine import MIDDLE, Pipeline, pattern_event_to_row
 from cedr.patterns import Leaf, PatternEvent, SequenceOp
 from cedr.temporal import INF
 
-pipe = Pipeline(SequenceOp((Leaf("A", "x"), Leaf("B", "y")), 10), MIDDLE)
+pipe = Pipeline(SequenceOp((Leaf("B", "y"), Leaf("A", "x")), 10), MIDDLE)
+pipe.feed("B", pattern_event_to_row(PatternEvent("b1", 2, 20, 2, INF, rt=2), "L1", 0))
 a1 = PatternEvent("a1", 5, 20, 5, INF, rt=5)
 pipe.feed("A", pattern_event_to_row(a1, "K1", 0))
 pipe.feed("A", pattern_event_to_row(replace(a1, o_e=16), "K2", 0))
 pipe.feed("A", pattern_event_to_row(replace(a1, o_e=5), "K1", 0))
-pipe.feed("B", pattern_event_to_row(PatternEvent("b1", 8, 20, 8, INF, rt=8), "L1", 0))
 pipe.flush()
 for node in pipe._nodes:
     for r in node.instance.output_rows_list():
@@ -1535,10 +1711,12 @@ for node in pipe._nodes:
             outputs.add(done.stdout)
         assert len(outputs) == 1
         # The longer-lived lineage is kept until its removal (arrival 4)
-        # leaves the other one: only then does the leaf's output shrink.
-        leaf = [line.split()[2:] for line in outputs.pop().splitlines()
-                if line.startswith("leaf1 ")]
-        assert leaf == [["5", "inf", "1"], ["5", "16", "5"]]
+        # leaves the other one: only then does the composite shrink.
+        rows = [line.split() for line in outputs.pop().splitlines()]
+        assert [row[2:] for row in rows if row[0] == "sequenceop0"] == [
+            ["5", "inf", "2"], ["5", "16", "5"]]
+        # The leaves are ports of the SEQUENCE: no instance of theirs emits.
+        assert {row[0] for row in rows} == {"sequenceop0"}
 
 
 class TestRemovalRows:
