@@ -68,14 +68,17 @@ class NotASyncPoint(TemporalError):
 class ConsistencyLevel:
     """A point on the consistency spectrum: memory limit and blocking limit.
 
-    Both are occurrence-time durations.  Blocking beyond the memory limit
-    has no effect, so ``blocking`` is normalized down to ``memory``.
+    Both are occurrence-time durations: a tick count or INF.  Blocking
+    beyond the memory limit has no effect, so ``blocking`` is normalized
+    down to ``memory``.
     """
 
     memory: Time
     blocking: Time
 
     def __post_init__(self):
+        check_time(self.memory, "memory")
+        check_time(self.blocking, "blocking")
         if self.blocking > self.memory:
             object.__setattr__(self, "blocking", self.memory)
 
@@ -170,8 +173,9 @@ class OpModule:
     input row can no longer influence any state at or past the horizon.
     ``partition`` holds one key function per port (or None for a port whose
     events join every bucket), as :func:`patterns.make_partition` and a
-    merged kind's partition rule build them; a module without it evaluates
-    all its state as one bucket.
+    merged kind's partition rule build them; a module without it keeps all
+    its state in one bucket.  Either way a reconcile evaluates only the
+    buckets a change reached since the last one.
     """
 
     name: str
@@ -418,6 +422,7 @@ class OperatorInstance:
         return _wire_all(out), promise
 
     def _declare(self, threshold: Time, port: int) -> tuple[list[tuple], Guarantee | None]:
+        check_time(threshold, "threshold")
         p = self._ports[port]
         if threshold < p.threshold:
             raise NonMonotoneGuarantee(
@@ -486,6 +491,9 @@ class OperatorInstance:
         frontier = self._guarantee_frontier()
         if frontier == NEG:
             return None
+        if frontier == INF:
+            # No input can follow, so no output can (also at an infinite lag).
+            return Guarantee(self.name, INF)
         threshold = frontier - self.module.lag
         if self.module.coalescing:
             # Any still-open output can shrink past the frontier and then be
@@ -610,11 +618,9 @@ class OperatorInstance:
         The ideal output is the operator's output over the live state, keyed
         by stable key: the union of the buckets' last outputs.  Only stale
         buckets are evaluated; the others keep their last output, so a
-        partitioned module whose state did not change since the last call
-        (a frontier move at infinite blocking) evaluates nothing.  A module
-        without a partition is one bucket, which every change reaches.  It
-        is evaluated on every call, also when nothing changed: reusing its
-        result there is a separate cache, with its own memory cost.
+        module whose state did not change since the last call (a frontier
+        move at infinite blocking) evaluates nothing.  A module without a
+        partition is one bucket, which every change reaches.
 
         Every stale bucket is evaluated before any change is filed.  If an
         evaluation raises, nothing is committed and every stale bucket stays
@@ -626,7 +632,7 @@ class OperatorInstance:
         ``_due``; an untracked key whose output vanished leaves it.  So a
         reconcile diffs only what changed and what is not emitted yet.
         """
-        if EVERY in self._stale or self.module.partition is None:
+        if EVERY in self._stale:
             stale = set(self._outputs).union(*(p.buckets for p in self._ports))
         else:
             stale = self._stale

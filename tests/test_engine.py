@@ -9,6 +9,7 @@ from cedr.algebra import AGGREGATES, TypeMismatch, group_of
 from cedr.disorder import rows_from_unitemporal
 from cedr.engine import (
     MIDDLE,
+    NEG,
     STRONG,
     WEAK,
     ConsistencyLevel,
@@ -18,6 +19,7 @@ from cedr.engine import (
     OperatorInstance,
     Pipeline,
     build_module,
+    merged_event_from_row,
     pattern_event_from_row,
     pattern_event_to_row,
     sync_points_of,
@@ -64,6 +66,15 @@ class TestConsistencyLevel:
 
     def test_blocking_clamped_to_memory(self):
         assert ConsistencyLevel(5, 20).blocking == 5
+
+    @pytest.mark.parametrize("memory, blocking", [
+        (-5, 0), (5, -1), (float("nan"), 0), (0, float("nan")), (2.5, 0), (5, 0.5),
+        (NEG, 0), ("x", 0), (5, True)])
+    def test_invalid_durations_rejected(self, memory, blocking):
+        # Checked before blocking is clamped: (-5, 0) once became (-5, -5),
+        # a horizon ahead of the frontier.
+        with pytest.raises(ValueError, match="memory|blocking"):
+            ConsistencyLevel(memory, blocking)
 
     def test_named(self):
         assert ConsistencyLevel.named("Strong") == STRONG
@@ -442,6 +453,46 @@ class TestGuarantees:
         inst.declare_guarantee(10, 0)
         with pytest.raises(NonMonotoneGuarantee):
             inst.declare_guarantee(8, 0)
+
+    BAD_THRESHOLDS = [float("nan"), 2.5, -1, NEG, "x", True, None]
+
+    @pytest.mark.parametrize("threshold", BAD_THRESHOLDS, ids=repr)
+    def test_invalid_threshold_rejected(self, threshold):
+        # A NaN threshold was once accepted, after which no threshold
+        # counted as a regression.
+        inst = OperatorInstance(module_under_test("select"), STRONG)
+        with pytest.raises(ValueError, match="threshold"):
+            inst.declare_guarantee(threshold, 0)
+        inst.declare_guarantee(3, 0)
+        with pytest.raises(ValueError, match="threshold"):
+            inst.declare_guarantee(threshold, 0)
+        with pytest.raises(NonMonotoneGuarantee):
+            inst.declare_guarantee(2, 0)
+        assert inst.declare_guarantee(INF, 0)[1] == Guarantee("select", INF)
+
+    @pytest.mark.parametrize("threshold", BAD_THRESHOLDS, ids=repr)
+    def test_pipeline_rejects_invalid_threshold(self, threshold):
+        pipe = Pipeline(SequenceOp((Leaf("A", "x"), Leaf("B", "y")), 10), MIDDLE)
+        with pytest.raises(ValueError, match="threshold"):
+            pipe.guarantee("A", threshold)
+        pipe.guarantee("A", 4)
+        pipe.guarantee("B", INF)
+        assert pipe.flush() == []
+
+    def test_infinite_lag_promises_inf_at_the_end(self):
+        # INF - INF is NaN: a child with an infinite scope once handed its
+        # parent a NaN threshold once its inputs reached INF.
+        plan = UnlessOp(SequenceOp((Leaf("A", "x"), Leaf("B", "y")), INF), Leaf("C", "z"), 5)
+        pipe = Pipeline(plan, STRONG)
+        child = pipe._nodes[1].instance
+        assert child.module.lag == INF
+        for stream in ("A", "B"):
+            pipe.guarantee(stream, 50)
+        assert child.output_guarantee() is None
+        for stream in ("A", "B", "C"):
+            pipe.guarantee(stream, INF)
+        assert child.output_guarantee() == Guarantee(child.name, INF)
+        assert [p.threshold for p in pipe.root_instance()._ports] == [INF, INF]
 
     @pytest.mark.parametrize("kind", ["select", "window", "unless", "sequence",
                                       "union", "groupby"])
@@ -1409,6 +1460,90 @@ class TestBucketedEvaluation:
                     assert set(ideal.values()) <= full, (trial, level, i)
                 out.extend(inst.flush())
                 assert content_set(out) == want, (trial, level)
+
+
+class _IdleWatch:
+    """Checks every instance of an instance or pipeline after each call.
+
+    An instance whose retained rows are the same objects as after the last
+    call has no changed state, so it must have evaluated nothing.  After
+    every call the instance's stored output, bucket by bucket, must equal
+    its pure operator over the live rows.  ``idle`` counts the reconciles
+    over unchanged, non-empty state, where reusing the output is what was
+    saved.
+    """
+
+    def __init__(self):
+        self.before = {}
+        self.idle = 0
+
+    def __call__(self, subject):
+        instances = ([n.instance for n in subject._nodes] if isinstance(subject, Pipeline)
+                     else [subject])
+        for inst in instances:
+            retained, reconciles, evaluated = self.before.get(inst.name, ([], 0, 0))
+            now = [(k, r) for p in inst._ports for k, r in p.reduced.items()]
+            decode = (pattern_event_from_row if inst.module.pattern_mode
+                      else merged_event_from_row)
+            live = tuple(tuple(decode(r) for r in p.reduced.values() if r.o_s < r.o_e)
+                         for p in inst._ports)
+            if len(now) == len(retained) and all(
+                    k == k0 and r is r0 for (k, r), (k0, r0) in zip(now, retained)):
+                assert inst.evaluated_rows == evaluated, inst.name
+                self.idle += inst.reconciles > reconciles and any(live)
+            assert not inst._stale
+            full = set(inst.module.evaluate(live, inst._store))
+            ideal = inst._ideal()
+            assert set(ideal) == {inst._stable_key(e) for e in full}, inst.name
+            assert set(ideal.values()) <= full, inst.name
+            self.before[inst.name] = (now, inst.reconciles, inst.evaluated_rows)
+
+
+class TestOneBucketReuse:
+    """A module without a partition re-evaluates only when a change reaches it.
+
+    At STRONG every guarantee reconciles, also one that releases no row.
+    Such a reconcile must leave ``evaluated_rows`` as it was, and the output
+    it reuses must still be the operator's output over the live state.
+    """
+
+    def test_union_instance(self):
+        module = module_under_test("union")
+        assert module.partition is None
+        idle = 0
+        for trial in range(10):
+            rng = random.Random(f"one-bucket-union-{trial}")
+            ideal, arrivals = make_merged_workload(rng, 2, 10, skew=4, retract_prob=0.3)
+            watch = _IdleWatch()
+            _, out = run_module(module, arrivals, STRONG,
+                                honest_schedule(arrivals, every=2), after=watch)
+            assert content_set(out) == content_set(oracle_rows(module, ideal)), trial
+            idle += watch.idle
+        assert idle > 10, idle
+
+    @pytest.mark.parametrize("src", ["EVENT q WHEN ATLEAST(2, A, B, C, 9)",
+                                     "EVENT q WHEN NOT(C AS z, SEQUENCE(A x, B y, 10))"])
+    def test_pattern_pipeline(self, src):
+        from cedr.disorder import rows_from_pattern
+        from cedr.patterns import evaluate_plan
+        from cedr.query import compile_query, parse
+
+        plan = compile_query(parse(src).ast).plan
+        idle = 0
+        for trial in range(10):
+            rng = random.Random(f"one-bucket-{src[12:20]}-{trial}")
+            ideal, rows = {}, {}
+            for name in ("A", "B", "C"):
+                ideal[name] = gen_pattern(rng, f"{name}_", 16)
+                rows[name] = encode_stream(rows_from_pattern(ideal[name], key_prefix=f"{name}k"),
+                                           rng, skew=4, retract_prob=0.3)
+            watch = _IdleWatch()
+            pipe = TestPipelineCrossLevel()._drive(plan, rows, STRONG, every=2, after=watch)
+            assert all(n.instance.module.partition is None for n in pipe._nodes)
+            assert content_set(pipe.outputs) == content_set(
+                rows_from_pattern(evaluate_plan(plan, ideal), key_prefix="o")), trial
+            idle += watch.idle
+        assert idle > 30, idle
 
 
 class TestBucketedReconcile:
