@@ -14,10 +14,13 @@ hand-offs can move ``cs`` while these pins stay put.
 
 The ``cedr run`` cases cover the CIDR07 query on three seeds, two sizes,
 three levels and two guarantee rates, and four other operators on one
-input at each level.  The merged ``union -> difference -> groupby`` chain
-is driven as the ``rollup-strong`` benchmark drives it, at STRONG on
-twelve inputs and at MIDDLE and WEAK on one, and its output rows and
-metrics are hashed the same way.  Two queries with wrappers at
+input at each level.  Five finite (M, B) levels, set through ``--memory``
+and ``--block``, pin the CIDR07 query on two seeds: there the alignment
+buffer holds rows across arrivals and releases them in sync order, which
+B = 0 never exercises.  The merged ``union -> difference -> groupby``
+chain is driven as the ``rollup-strong`` benchmark drives it, at STRONG
+on twelve inputs, and at MIDDLE, WEAK and two finite levels on one, and
+its output rows and metrics are hashed the same way.  Two queries with wrappers at
 the root (slices, and in one a projection) are pinned too; for them the
 tests also check that the output's content equals the denotation and that
 ``--metrics`` counts the rows written.
@@ -57,6 +60,11 @@ LEVELS = ("strong", "middle", "weak")
 RUNS = [(seed, n, level, every)
         for seed in (1, 2, 1009) for n in (90, 240)
         for level in LEVELS for every in (1, 20)]
+# (M, B) through --memory and --block, on seeds 1 and 2's 240-event
+# inputs, a guarantee every 20 arrivals.
+FINITE_RUNS = [(seed, memory, block) for seed in (1, 2)
+               for memory, block in ((temporal.INF, 1), (temporal.INF, 5), (temporal.INF, 30),
+                                     (50, 5), (5, 1))]
 
 # One input each (seed 1, 90 events, a guarantee every 20 arrivals).
 OTHER_QUERIES = {
@@ -90,7 +98,8 @@ WRAPPED_RUNS = [(name, level) for name in WRAPPED_QUERIES for level in LEVELS]
 # The chain at STRONG, as the benchmark runs it, and at the other levels on
 # one input.
 CHAIN_RUNS = ([(seed, part, "strong") for seed in (1, 2, 1009) for part in range(4)]
-              + [(1, 0, "middle"), (1, 0, "weak")])
+              + [(1, 0, "middle"), (1, 0, "weak"),
+                 (1, 0, (temporal.INF, 5)), (1, 0, (50, 5))])
 STREAM_SEEDS = (1, 2)
 STREAM_ROWS, FILE_ROWS = 1000, 100
 
@@ -100,14 +109,14 @@ def sha(path) -> str:
 
 
 def run_hashes(workdir: Path, seed: int, n: int, level: str, every: int,
-               text: str = QUERY) -> dict:
+               text: str = QUERY, flags: tuple = ()) -> dict:
     """``cedr run`` of ``text`` (the CIDR07 query) on ``gen.cidr07_inputs(seed, n, 0)``."""
     query = workdir / "q.cedr"
     query.write_text(text, encoding="utf-8")
     _, wire = gen.cidr07_inputs(seed, n, 0)
     inputs = hashlib.sha256()
     argv = ["run", "--query", str(query), "--level", level,
-            "--guarantee-every", str(every)]
+            "--guarantee-every", str(every), *flags]
     for stream, rows in wire.items():
         path = workdir / f"{stream}.jsonl"
         jsonio.write_events(rows, str(path))
@@ -175,12 +184,21 @@ def wrapped_hashes(workdir: Path, name: str, level: str) -> dict:
     return run_hashes(workdir, 1, 240, level, 20, WRAPPED_QUERIES[name])
 
 
+def finite_hashes(workdir: Path, seed: int, memory, block) -> dict:
+    return run_hashes(workdir, seed, 240, "strong", 20,
+                      flags=("--memory", str(memory), "--block", str(block)))
+
+
 def chain_hashes(seed: int, part: int, level: str) -> dict:
-    """The ``rollup-strong`` chain at ``level`` on ``gen.rollup_inputs(seed, 150, part)``."""
+    """The ``rollup-strong`` chain on ``gen.rollup_inputs(seed, 150, part)``.
+
+    ``level`` is a level's name or its (M, B) pair.
+    """
     _, wire = gen.rollup_inputs(seed, workloads.ROLLUP_EVENTS_PER_STREAM, part)
     feed = workloads.arrival_order(wire)
     schedule = workloads.guarantee_schedule(feed, sorted(wire), workloads.GUARANTEE_EVERY)
-    chain = workloads.RollupChain(engine.ConsistencyLevel.named(level))
+    chain = workloads.RollupChain(engine.ConsistencyLevel.named(level) if isinstance(level, str)
+                                  else engine.ConsistencyLevel(*level))
     workloads.drive(chain, feed, schedule, chain.flush)
     metrics = json.dumps(chain.metrics(), sort_keys=True)
     return {"output": hashlib.sha256(jsonio.dumps_events(chain.outputs).encode()).hexdigest(),
@@ -191,12 +209,18 @@ def run_id(seed, n, level, every) -> str:
     return f"run/{seed}/{n}/{level}/{every}"
 
 
+def finite_id(seed, memory, block) -> str:
+    return f"run/{seed}/240/{memory},{block}/20"
+
+
 def query_id(name, level) -> str:
     return f"query/{name}/{level}"
 
 
 def chain_id(seed, part, level) -> str:
-    return f"chain/{seed}/{part}" if level == "strong" else f"chain/{seed}/{part}/{level}"
+    if level == "strong":
+        return f"chain/{seed}/{part}"
+    return f"chain/{seed}/{part}/{level if isinstance(level, str) else '%s,%s' % level}"
 
 
 def wrapped_id(name, level) -> str:
@@ -206,6 +230,7 @@ def wrapped_id(name, level) -> str:
 def all_hashes(workdir: Path) -> dict:
     out = {}
     for cases, case_id, hashes in ((RUNS, run_id, run_hashes),
+                                   (FINITE_RUNS, finite_id, finite_hashes),
                                    (QUERY_RUNS, query_id, query_hashes),
                                    (WRAPPED_RUNS, wrapped_id, wrapped_hashes)):
         for case in cases:
@@ -229,6 +254,11 @@ def golden():
 @pytest.mark.parametrize("case", RUNS, ids=lambda case: run_id(*case))
 def test_cedr_run_bytes(case, tmp_path, golden):
     assert run_hashes(tmp_path, *case) == golden[run_id(*case)]
+
+
+@pytest.mark.parametrize("case", FINITE_RUNS, ids=lambda case: finite_id(*case))
+def test_finite_level_bytes(case, tmp_path, golden):
+    assert finite_hashes(tmp_path, *case) == golden[finite_id(*case)]
 
 
 @pytest.mark.parametrize("case", QUERY_RUNS, ids=lambda case: query_id(*case))
@@ -286,6 +316,7 @@ def test_stream_command_bytes(seed, tmp_path, golden):
 
 def test_golden_covers_every_case(golden):
     assert sorted(golden) == sorted([run_id(*case) for case in RUNS]
+                                    + [finite_id(*case) for case in FINITE_RUNS]
                                     + [query_id(*case) for case in QUERY_RUNS]
                                     + [chain_id(*case) for case in CHAIN_RUNS]
                                     + [wrapped_id(*case) for case in WRAPPED_RUNS]
