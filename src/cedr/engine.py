@@ -22,6 +22,7 @@ horizon are dropped and counted.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 from dataclasses import dataclass, replace
 from operator import itemgetter
@@ -324,18 +325,14 @@ class _Tracked:
         self.o_e = o_e
 
 
-class _Buffered:
-    __slots__ = ("sync", "port", "row", "event")
-
-    def __init__(self, sync, port, row, event):
-        self.sync = sync
-        self.port = port
-        self.row = row
-        self.event = event
-
-
 class OperatorInstance:
     """One operator under a consistency monitor.
+
+    An arrival is restamped, dropped if it is behind the memory horizon, and
+    otherwise pushed on the alignment buffer: a heap of ``(sync, c_s, port,
+    row, event)`` in release order.  Every restamp ticks the clock, so
+    ``c_s`` is unique and entries never compare past it.  ``_drain`` pops
+    what the release frontier passed into the ports' state and reconciles.
 
     Not safe for concurrent use: each instance belongs to one logical
     worker; pipelines may place distinct instances on distinct workers and
@@ -357,7 +354,7 @@ class OperatorInstance:
         self._outputs: dict[object, dict[tuple, object]] = {}
         self._holders: dict[tuple, tuple] = {}
         self._stale: set = set()
-        self._buffer: list[_Buffered] = []
+        self._buffer: list[tuple] = []
         self._tracked: dict[tuple, _Tracked] = {}
         # What the next reconcile must settle: a tracked key whose output
         # changed maps to its new ideal output (None if gone), an untracked
@@ -410,7 +407,7 @@ class OperatorInstance:
             return []
         if sync > self._max_seen:
             self._max_seen = sync
-        self._buffer.append(_Buffered(sync, port, row, event))
+        heapq.heappush(self._buffer, (sync, row.c_s, port, row, event))
         out = self._drain(horizon)
         self._sample_state()
         return out
@@ -558,27 +555,28 @@ class OperatorInstance:
     def _drain(self, horizon: Time, frontier_moved: bool = False) -> list[tuple]:
         """Apply the buffered rows the release frontier passed, then reconcile.
 
+        Rows are popped off the heap in (sync, c_s) order while its head is
+        at or below the frontier, so a call that releases nothing reads only
+        the head, whatever waits behind it.
+
         ``horizon`` is the memory horizon the rows were admitted under: no
         result anchored behind it, less the operator lag, is introduced.
         """
         release = self._release_frontier()
-        ready = [b for b in self._buffer if b.sync <= release]
-        if ready:
-            self._buffer = [b for b in self._buffer if b.sync > release]
-            # Every restamped row has its own c_s, so the order is total.
-            ready.sort(key=lambda b: (b.sync, b.row.c_s))
-            for b in ready:
-                # Waiting measured on the arrival clock: zero when a row is
-                # applied within the same ingestion step that admitted it.
-                self.blocking_time += max(0, self._clock[0] - b.row.c_s - 1)
-                self._apply(b)
-        elif not (frontier_moved and self.level.blocking == INF):
+        buffer = self._buffer
+        if not (buffer and buffer[0][0] <= release
+                or frontier_moved and self.level.blocking == INF):
             return []
+        while buffer and buffer[0][0] <= release:
+            _, c_s, port, row, event = heapq.heappop(buffer)
+            # Waiting measured on the arrival clock: zero when a row is
+            # applied within the same ingestion step that admitted it.
+            self.blocking_time += max(0, self._clock[0] - c_s - 1)
+            self._apply(port, row, event)
         return self._reconcile(horizon)
 
-    def _apply(self, b: _Buffered) -> None:
-        p = self._ports[b.port]
-        row = b.row
+    def _apply(self, port: int, row: TritemporalEvent, event) -> None:
+        p = self._ports[port]
         cur = p.reduced.get(row.k)
         if cur is not None and not _reduce_wins(row, cur):
             return
@@ -587,8 +585,9 @@ class OperatorInstance:
             # Merged rows are decoded here, not on ingest: a removal row
             # (o_s == o_e) is no valid unitemporal event, and a row that
             # loses the reduce is never read.
-            event = b.event if self.module.pattern_mode else merged_event_from_row(row)
-            key = self._keys[b.port]
+            if not self.module.pattern_mode:
+                event = merged_event_from_row(row)
+            key = self._keys[port]
             joined = (EVERY,) if key is None else key(event)
             if p.joined.get(row.k) != joined:
                 self._unindex(p, row.k)
