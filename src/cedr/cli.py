@@ -195,6 +195,9 @@ def cmd_run(args) -> int:
             print(f"error: --input expects name=path, got {spec!r}", file=sys.stderr)
             return DIAGNOSTICS
         name, _, path = spec.partition("=")
+        if name in inputs:
+            print(f"error: --input names stream {name!r} twice", file=sys.stderr)
+            return DIAGNOSTICS
         inputs[name] = _read_stream(path)
     wanted = leaf_streams(ast)
     for name in inputs:

@@ -963,6 +963,7 @@ class Pipeline:
         return released
 
     def guarantee(self, stream: str, threshold: Time) -> list[TritemporalEvent]:
+        check_time(threshold, "threshold")
         released = []
         for node, port, _ in self._leaves.get(stream, ()):
             released.extend(self._propagate_guarantee(node, port, threshold))

@@ -112,6 +112,23 @@ class TestRun:
         total = json.loads(metrics.read_text())["total"]
         assert (total["output_rows"], total["dropped_rows"]) == (2, 0)
 
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_stream_named_twice_exits_one(self, tmp_path, query_file, capsys, via_config):
+        # The second file once replaced the first silently, with exit 0.
+        for name, v_s in (("a1", 10), ("a2", 40)):
+            write_stream(tmp_path / f"{name}.jsonl", [machine_event(name, v_s)])
+        specs = [f"INSTALL={tmp_path / 'a1.jsonl'}", f"INSTALL={tmp_path / 'a2.jsonl'}"]
+        if via_config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"input = {', '.join(specs)}\n")
+            flags = ["--config", str(cfg)]
+        else:
+            flags = [arg for spec in specs for arg in ("--input", spec)]
+        out = tmp_path / "out.jsonl"
+        assert main(["run", "--query", str(query_file), *flags, "--output", str(out)]) == 1
+        assert "error: --input names stream 'INSTALL' twice" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_query_exits_one(self, tmp_path):
         q = tmp_path / "bad.cedr"
         q.write_text("EVENT e WHEN FOO(A)")

@@ -472,9 +472,11 @@ class TestGuarantees:
 
     @pytest.mark.parametrize("threshold", BAD_THRESHOLDS, ids=repr)
     def test_pipeline_rejects_invalid_threshold(self, threshold):
+        # Also on a stream no leaf reads, where it was once ignored.
         pipe = Pipeline(SequenceOp((Leaf("A", "x"), Leaf("B", "y")), 10), MIDDLE)
-        with pytest.raises(ValueError, match="threshold"):
-            pipe.guarantee("A", threshold)
+        for stream in ("A", "Z"):
+            with pytest.raises(ValueError, match="threshold"):
+                pipe.guarantee(stream, threshold)
         pipe.guarantee("A", 4)
         pipe.guarantee("B", INF)
         assert pipe.flush() == []
@@ -970,44 +972,106 @@ class TestLeafPorts:
 class TestLevelGrid:
     """Every (M, B) level's content after flush equals the denotation.
 
-    The CIDR07 query on 1200 insert-only, disordered arrivals, with honest
-    guarantees every 20 arrivals: nothing arrives behind a guarantee, so no
-    level may lose or drop a result.  A finite M with B > 0 once lost the
-    rows its blocking held whenever a guarantee released them behind the
-    new horizon.
+    Each query runs on disordered arrivals (skew 8) with honest guarantees
+    every 20 arrivals.  On insert-only input nothing arrives behind a
+    guarantee, so no level may lose or drop a result; with retractions, M
+    = inf keeps every repair, so every B must agree with the denotation
+    there too.  A finite M with B > 0 once lost the rows its blocking held
+    whenever a guarantee released them behind the new horizon.
     """
 
-    @pytest.fixture(scope="class")
-    def cidr07(self):
-        from cedr.disorder import bounded_shuffle, restamp_arrivals, rows_from_pattern
+    LEVELS = sorted({(m, min(b, m)) for m in (0, 5, 50, INF) for b in (0, 1, 5, INF)})
+
+    @staticmethod
+    def _case(text, seed, n, max_gap, finite_share=0.0):
+        """The plan of ``text``, a feed with its guarantee schedule, and the denotation.
+
+        ``n`` events per stream, ``max_gap`` ticks apart at most.  With a
+        ``finite_share``, that share of the events ends at a finite ``o_e``,
+        and the rows are encoded with retractions and re-encoded as ``cedr
+        disorder --retract-prob 0.1`` does; otherwise they are insert-only.
+        """
+        from cedr.disorder import (bounded_shuffle, encode_with_retractions,
+                                   restamp_arrivals, rows_from_pattern)
         from cedr.query import compile_query, parse
 
         from perfbench import gen, workloads
 
-        plan = compile_query(parse(workloads.CIDR07_QUERY).ast).plan
-        rng = random.Random("level-grid")
+        plan = compile_query(parse(text).ast).plan
+        rng = random.Random(seed)
         ideal, wire = {}, {}
         for name in ("INSTALL", "SHUTDOWN", "RESTART"):
-            # Events up to 150 ticks apart hold a few events per machine in
-            # the 12-hour scope, so the twelve levels run in a few seconds.
-            ideal[name] = gen.pattern_stream(rng, name[0].lower(), 400, max_gap=150)
-            wire[name] = restamp_arrivals(bounded_shuffle(
-                rows_from_pattern(ideal[name], key_prefix=name[0]), 8, rng))
+            events = gen.pattern_stream(rng, name[0].lower(), n, max_gap=max_gap)
+            if finite_share:
+                events = [replace(e, o_e=e.o_s + rng.randint(1, 30))
+                          if rng.random() < finite_share else e for e in events]
+            rows = rows_from_pattern(events, key_prefix=name[0])
+            ideal[name] = events
+            wire[name] = (gen.disorder_rows(encode_with_retractions(rows, rng), rng)
+                          if finite_share else
+                          restamp_arrivals(bounded_shuffle(rows, 8, rng)))
         feed = workloads.arrival_order(wire)
         schedule = workloads.guarantee_schedule(feed, sorted(wire), 20)
         return plan, feed, schedule, TestLeafPorts._denotation(plan, ideal)
 
-    @pytest.mark.parametrize("memory, blocking", sorted(
-        {(m, min(b, m)) for m in (0, 5, 50, INF) for b in (0, 1, 5, INF)}))
-    def test_content_equals_the_denotation(self, cidr07, memory, blocking):
+    @staticmethod
+    def _check(case, memory, blocking):
         from perfbench import workloads
 
-        plan, feed, schedule, want = cidr07
-        assert len(feed) == 1200 and len(want) > 300
+        plan, feed, schedule, want = case
         pipe = Pipeline(plan, ConsistencyLevel(memory, blocking))
         workloads.drive(pipe, feed, schedule, pipe.flush)
         assert content_set(pipe.outputs) == want
         assert pipe.metrics()["total"]["dropped_rows"] == 0
+
+    @pytest.fixture(scope="class")
+    def cidr07(self):
+        from perfbench import workloads
+
+        # Events up to 150 ticks apart hold a few events per machine in the
+        # 12-hour scope, so the twelve levels run in a few seconds.
+        return self._case(workloads.CIDR07_QUERY, "level-grid", 400, max_gap=150)
+
+    @pytest.fixture(scope="class")
+    def other_kinds(self):
+        from test_golden_runs import OTHER_QUERIES
+
+        # 40 events per stream, up to 45 ticks apart, keep ATLEAST (one
+        # bucket, re-evaluated on every reconcile) to a few seconds.
+        return {name: self._case(text, f"level-grid/{name}", 40, 45)
+                for name, text in OTHER_QUERIES.items()}
+
+    @pytest.fixture(scope="class")
+    def with_retractions(self):
+        from test_golden_runs import OTHER_QUERIES
+
+        from perfbench import workloads
+
+        queries = {"cidr07": workloads.CIDR07_QUERY, **OTHER_QUERIES}
+        return {name: self._case(text, f"level-grid/retract/{name}", 40, 45, finite_share=1 / 3)
+                for name, text in queries.items()}
+
+    @pytest.mark.parametrize("memory, blocking", LEVELS)
+    def test_content_equals_the_denotation(self, cidr07, memory, blocking):
+        _, feed, _, want = cidr07
+        assert len(feed) == 1200 and len(want) > 300
+        self._check(cidr07, memory, blocking)
+
+    @pytest.mark.parametrize("memory, blocking", LEVELS)
+    @pytest.mark.parametrize("name", ["not", "atleast", "cancel-when", "unless-unkeyed"])
+    def test_other_kinds_equal_the_denotation(self, other_kinds, name, memory, blocking):
+        _, feed, _, want = other_kinds[name]
+        assert len(feed) == 120 and want
+        self._check(other_kinds[name], memory, blocking)
+
+    @pytest.mark.parametrize("blocking", (0, 1, 5, INF))
+    @pytest.mark.parametrize("name", ["cidr07", "not", "atleast", "cancel-when",
+                                      "unless-unkeyed"])
+    def test_retractions_at_infinite_memory_equal_the_denotation(self, with_retractions,
+                                                                 name, blocking):
+        _, feed, _, want = with_retractions[name]
+        assert len(feed) > 120 and want
+        self._check(with_retractions[name], INF, blocking)
 
 
 class TestPipelineCrossLevel:
