@@ -20,10 +20,10 @@ buffer holds rows across arrivals and releases them in sync order, which
 B = 0 never exercises.  The merged ``union -> difference -> groupby``
 chain is driven as the ``rollup-strong`` benchmark drives it, at STRONG
 on twelve inputs, and at MIDDLE, WEAK and two finite levels on one, and
-its output rows and metrics are hashed the same way.  Two queries with wrappers at
-the root (slices, and in one a projection) are pinned too; for them the
-tests also check that the output's content equals the denotation and that
-``--metrics`` counts the rows written.
+its output rows and metrics are hashed the same way.  Two queries with
+wrappers at the root (slices, and in one a projection) are pinned too; for
+them the tests also check that the output's content equals the
+denotation and that ``--metrics`` counts the rows written.
 
 ``python tests/test_golden_runs.py`` prints the hashes as JSON, for
 writing the golden file from a tree whose output is the reference.
