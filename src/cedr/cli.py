@@ -70,14 +70,15 @@ def load_config(path: str) -> dict[str, str]:
 
 
 def _with_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
-                 argv: list[str]) -> argparse.Namespace:
-    """``argv`` parsed again with the config file's values as flags.
+                 head: list[str], tail: list[str]) -> argparse.Namespace:
+    """``head + tail`` parsed again with the config file's values as flags.
 
-    The values go in ahead of the command line's flags, so argparse checks
-    each against its option's type and choices, and a flag given on the
-    command line wins.  Keys that name no option of the command are
-    ignored; ``input`` holds comma-separated pairs and applies only when
-    the command line gives none.
+    The values go in between ``head`` (the command name, when ``parser`` is
+    the full ``cedr`` parser) and ``tail``, ahead of the command line's
+    flags, so argparse checks each against its option's type and choices,
+    and a flag given on the command line wins.  Keys that name no option of
+    the command are ignored; ``input`` holds comma-separated pairs and
+    applies only when the command line gives none.
     """
     flags = []
     for key, value in load_config(args.config).items():
@@ -86,7 +87,7 @@ def _with_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
                 flags += [f"--input={v.strip()}" for v in value.split(",") if v.strip()]
         elif key in vars(args) and key not in ("command", "func", "config"):
             flags.append(f"--{key.replace('_', '-')}={value}")
-    return parser.parse_args([argv[0], *flags, *argv[1:]])
+    return parser.parse_args([*head, *flags, *tail])
 
 
 def _read_stream(path: str):
@@ -268,19 +269,7 @@ def cmd_parse(args) -> int:
     return OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # argparse makes a formatter for every add_argument, and a formatter
-    # without a width probes the terminal; this is the width it would find.
-    formatter = functools.partial(argparse.HelpFormatter,
-                                  width=shutil.get_terminal_size().columns - 2)
-    parser = argparse.ArgumentParser(
-        prog="cedr", formatter_class=formatter,
-        description="Temporal event-stream engine: standing queries over "
-                    "out-of-order streams with retractions.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="execute a query over event logs",
-                         formatter_class=formatter)
+def _add_run(run: argparse.ArgumentParser) -> None:
     run.add_argument("--query", required=True, help="query file")
     run.add_argument("--input", action="append", metavar="NAME=PATH",
                      help="event log for one stream (repeatable)")
@@ -300,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", default=None)
     run.set_defaults(func=cmd_run)
 
-    dis = sub.add_parser("disorder", help="re-encode a stream with disorder",
-                         formatter_class=formatter)
+
+def _add_disorder(dis: argparse.ArgumentParser) -> None:
     dis.add_argument("--input", required=True)
     dis.add_argument("--output", default=None)
     dis.add_argument("--seed", type=int, default=None)
@@ -310,36 +299,88 @@ def build_parser() -> argparse.ArgumentParser:
     dis.add_argument("--config", default=None)
     dis.set_defaults(func=cmd_disorder)
 
-    canon = sub.add_parser("canon", help="canonicalize a stream", formatter_class=formatter)
+
+def _add_canon(canon: argparse.ArgumentParser) -> None:
     canon.add_argument("--input", required=True)
     canon.add_argument("--t0", type=_time_flag, required=True)
     canon.add_argument("--mode", default="to", choices=["to", "at"])
     canon.add_argument("--output", default=None)
     canon.set_defaults(func=cmd_canon)
 
-    eq = sub.add_parser("equiv", help="check logical equivalence of two streams",
-                        formatter_class=formatter)
+
+def _add_equiv(eq: argparse.ArgumentParser) -> None:
     eq.add_argument("a")
     eq.add_argument("b")
     eq.add_argument("--t0", type=_time_flag, required=True)
     eq.add_argument("--mode", default="to", choices=["to", "at"])
     eq.set_defaults(func=cmd_equiv)
 
-    pr = sub.add_parser("parse", help="dump a query AST", formatter_class=formatter)
+
+def _add_parse(pr: argparse.ArgumentParser) -> None:
     pr.add_argument("--query", required=True)
     pr.add_argument("--plan", action="store_true", help="also dump the compiled plan")
     pr.set_defaults(func=cmd_parse)
 
+
+# Each command's help line in ``cedr --help`` and the function that adds
+# its arguments, in the order ``cedr --help`` lists them.
+COMMANDS = {
+    "run": ("execute a query over event logs", _add_run),
+    "disorder": ("re-encode a stream with disorder", _add_disorder),
+    "canon": ("canonicalize a stream", _add_canon),
+    "equiv": ("check logical equivalence of two streams", _add_equiv),
+    "parse": ("dump a query AST", _add_parse),
+}
+
+
+def _formatter():
+    # argparse makes a formatter for every add_argument, and a formatter
+    # without a width probes the terminal; this is the width it would find.
+    return functools.partial(argparse.HelpFormatter,
+                             width=shutil.get_terminal_size().columns - 2)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full ``cedr`` parser: every command, as a subparser."""
+    formatter = _formatter()
+    parser = argparse.ArgumentParser(
+        prog="cedr", formatter_class=formatter,
+        description="Temporal event-stream engine: standing queries over "
+                    "out-of-order streams with retractions.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments) in COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_line, formatter_class=formatter))
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parse(argv: list[str]):
+    """``(parser, head, args)``: the parser that read ``argv`` and its namespace.
+
+    A line that starts with a command goes to that command's parser alone,
+    built as ``build_parser`` builds its subparser.  Any other line, and a
+    line with arguments the command does not know, goes through the full
+    parser, so every help, usage and error text is the full parser's.
+    ``head`` is what that parser reads of ``argv`` ahead of ``argv[1:]``:
+    nothing, or the command name.
+    """
+    if argv and argv[0] in COMMANDS:
+        name = argv[0]
+        parser = argparse.ArgumentParser(prog=f"cedr {name}", formatter_class=_formatter())
+        COMMANDS[name][1](parser)
+        parser.set_defaults(command=name)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            return parser, [], args
     parser = build_parser()
+    return parser, argv[:1], parser.parse_args(argv)
+
+
+def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        parser, head, args = _parse(argv)
         if getattr(args, "config", None):
-            args = _with_config(parser, args, argv)
+            args = _with_config(parser, args, head, argv[1:])
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else DIAGNOSTICS

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import cedr
+from cedr import cli
 from cedr.cli import main
 from cedr.disorder import disorder_stream
 from cedr.engine import Pipeline, pattern_event_to_row
@@ -421,10 +423,16 @@ class TestCommandCost:
     def test_stream_tools_commands_probe_once_and_build_two_tables(self, tmp_path,
                                                                    monkeypatch):
         # One stream-tools call: disorder, equiv, canon to and canon at on
-        # one 100-row file.  Each command builds its parser with one
-        # terminal probe; only the two canon commands build a table.
-        counts = {"probes": 0, "tables": 0}
+        # one 100-row file.  Each command builds only its own parser, one
+        # ArgumentParser with one terminal probe; only the two canon
+        # commands build a table.
+        counts = {"parsers": 0, "probes": 0, "tables": 0}
+        parser_init = argparse.ArgumentParser.__init__
         probe, init = shutil.get_terminal_size, HistoryTable.__init__
+
+        def counted_parser_init(self, *args, **kwargs):
+            counts["parsers"] += 1
+            parser_init(self, *args, **kwargs)
 
         def counted_probe(*args):
             counts["probes"] += 1
@@ -435,13 +443,78 @@ class TestCommandCost:
             init(self, rows)
 
         tools = StreamTools(1, str(tmp_path), n_rows=100, file_rows=100, parts=1)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_parser_init)
         monkeypatch.setattr(shutil, "get_terminal_size", counted_probe)
         monkeypatch.setattr(HistoryTable, "__init__", counted_init)
         with contextlib.redirect_stdout(io.StringIO()):
             exits = [main(argv) for argv in tools.commands(0)]
         assert exits == [0, 0, 0, 0]
+        assert counts["parsers"] == 4
         assert counts["probes"] == 4
         assert counts["tables"] <= 2
+
+
+class TestOneCommandParser:
+    """``main`` dispatches on the namespace the full ``cedr`` parser would make."""
+
+    LINES = [
+        ["run", "--query", "q.cedr"],
+        ["run", "--query", "q.cedr", "--input", "A=a.jsonl", "--input=B=b.jsonl",
+         "--level", "weak", "--memory", "inf", "--block", "5", "--tick-unit", "second",
+         "--output", "out.jsonl", "--metrics", "m.json", "--guarantee-every", "20"],
+        ["disorder", "--input", "a.jsonl"],
+        ["disorder", "--input", "a.jsonl", "--output", "o.jsonl", "--seed", "7",
+         "--skew", "3", "--retract-prob", "0.25"],
+        ["canon", "--input", "a.jsonl", "--t0", "inf"],
+        ["canon", "--mode", "at", "--t0=12", "--input", "a.jsonl", "--output", "o.jsonl"],
+        ["equiv", "a.jsonl", "b.jsonl", "--t0", "0"],
+        ["equiv", "--t0", "inf", "a.jsonl", "--mode", "at", "b.jsonl"],
+        ["equiv", "a.jsonl", "--t0", "3", "--", "-b.jsonl"],
+        ["parse", "--query", "q.cedr"],
+        ["parse", "--plan", "--query", "q.cedr"],
+    ]
+    # A config file's values, and the flags the full parser must read them as.
+    CONFIGS = [
+        (["run", "--query", "q.cedr"],
+         "level = strong\nmemory = 50\ninput = A=a.jsonl, B=b.jsonl\nskew = 3\n",
+         ["--level=strong", "--memory=50", "--input=A=a.jsonl", "--input=B=b.jsonl"]),
+        (["run", "--query", "q.cedr", "--level", "weak"],
+         "level = strong\nguarantee-every = 4\n",
+         ["--level=strong", "--guarantee-every=4"]),
+        (["disorder", "--input", "a.jsonl"],
+         "seed = 5\nretract_prob = 0.5\nt0 = 3\n",
+         ["--seed=5", "--retract-prob=0.5"]),
+    ]
+
+    @pytest.fixture
+    def dispatched(self, monkeypatch):
+        """``vars()`` of each namespace ``main`` hands to a command."""
+        seen = []
+
+        def record(args):
+            seen.append(vars(args))
+            return 0
+
+        for name in ("cmd_run", "cmd_disorder", "cmd_canon", "cmd_equiv", "cmd_parse"):
+            monkeypatch.setattr(cli, name, record)
+        return seen
+
+    @pytest.mark.parametrize("argv", LINES, ids=" ".join)
+    def test_namespace_equals_the_full_parsers(self, dispatched, argv):
+        assert main(list(argv)) == 0
+        assert dispatched == [vars(cli.build_parser().parse_args(argv))]
+        assert dispatched[0]["command"] == argv[0]
+
+    @pytest.mark.parametrize("argv, config, flags", CONFIGS,
+                             ids=[" ".join(argv) for argv, _, _ in CONFIGS])
+    def test_config_namespace_equals_the_full_parsers(self, tmp_path, dispatched,
+                                                      argv, config, flags):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(config)
+        argv = [*argv, "--config", str(cfg)]
+        assert main(list(argv)) == 0
+        want = cli.build_parser().parse_args([argv[0], *flags, *argv[1:]])
+        assert dispatched == [vars(want)]
 
 
 class TestModuleEntry:
