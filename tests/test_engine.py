@@ -981,6 +981,13 @@ class TestLevelGrid:
     """
 
     LEVELS = sorted({(m, min(b, m)) for m in (0, 5, 50, INF) for b in (0, 1, 5, INF)})
+    # The kinds the golden runs do not pin; ``other_kinds`` adds the ones they do.
+    GRID_QUERIES = {
+        "all": "EVENT q\nWHEN ALL(INSTALL, SHUTDOWN, RESTART, 30 minutes)\n",
+        "any": "EVENT q\nWHEN ANY(INSTALL, SHUTDOWN, RESTART)\n",
+        "atmost": "EVENT q\nWHEN ATMOST(2, INSTALL, SHUTDOWN, RESTART, 10 minutes)\n",
+    }
+    KINDS = ["not", "atleast", "cancel-when", "unless-unkeyed", *GRID_QUERIES]
 
     @staticmethod
     def _case(text, seed, n, max_gap, finite_share=0.0):
@@ -1039,7 +1046,7 @@ class TestLevelGrid:
         # 40 events per stream, up to 45 ticks apart, keep ATLEAST (one
         # bucket, re-evaluated on every reconcile) to a few seconds.
         return {name: self._case(text, f"level-grid/{name}", 40, 45)
-                for name, text in OTHER_QUERIES.items()}
+                for name, text in {**OTHER_QUERIES, **self.GRID_QUERIES}.items()}
 
     @pytest.fixture(scope="class")
     def with_retractions(self):
@@ -1047,7 +1054,7 @@ class TestLevelGrid:
 
         from perfbench import workloads
 
-        queries = {"cidr07": workloads.CIDR07_QUERY, **OTHER_QUERIES}
+        queries = {"cidr07": workloads.CIDR07_QUERY, **OTHER_QUERIES, **self.GRID_QUERIES}
         return {name: self._case(text, f"level-grid/retract/{name}", 40, 45, finite_share=1 / 3)
                 for name, text in queries.items()}
 
@@ -1058,15 +1065,14 @@ class TestLevelGrid:
         self._check(cidr07, memory, blocking)
 
     @pytest.mark.parametrize("memory, blocking", LEVELS)
-    @pytest.mark.parametrize("name", ["not", "atleast", "cancel-when", "unless-unkeyed"])
+    @pytest.mark.parametrize("name", KINDS)
     def test_other_kinds_equal_the_denotation(self, other_kinds, name, memory, blocking):
         _, feed, _, want = other_kinds[name]
         assert len(feed) == 120 and want
         self._check(other_kinds[name], memory, blocking)
 
     @pytest.mark.parametrize("blocking", (0, 1, 5, INF))
-    @pytest.mark.parametrize("name", ["cidr07", "not", "atleast", "cancel-when",
-                                      "unless-unkeyed"])
+    @pytest.mark.parametrize("name", ["cidr07", *KINDS])
     def test_retractions_at_infinite_memory_equal_the_denotation(self, with_retractions,
                                                                  name, blocking):
         _, feed, _, want = with_retractions[name]
