@@ -70,15 +70,14 @@ def load_config(path: str) -> dict[str, str]:
 
 
 def _with_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
-                 head: list[str], tail: list[str]) -> argparse.Namespace:
-    """``head + tail`` parsed again with the config file's values as flags.
+                 argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed again with the config file's values as flags.
 
-    The values go in between ``head`` (the command name, when ``parser`` is
-    the full ``cedr`` parser) and ``tail``, ahead of the command line's
-    flags, so argparse checks each against its option's type and choices,
-    and a flag given on the command line wins.  Keys that name no option of
-    the command are ignored; ``input`` holds comma-separated pairs and
-    applies only when the command line gives none.
+    The values go in ahead of the command line's flags, so argparse checks
+    each against its option's type and choices, and a flag given on the
+    command line wins.  Keys that name no option of the command are
+    ignored; ``input`` holds comma-separated pairs and applies only when
+    the command line gives none.
     """
     flags = []
     for key, value in load_config(args.config).items():
@@ -87,7 +86,7 @@ def _with_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
                 flags += [f"--input={v.strip()}" for v in value.split(",") if v.strip()]
         elif key in vars(args) and key not in ("command", "func", "config"):
             flags.append(f"--{key.replace('_', '-')}={value}")
-    return parser.parse_args([*head, *flags, *tail])
+    return parser.parse_args([*flags, *argv])
 
 
 def _read_stream(path: str):
@@ -353,15 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse(argv: list[str]):
-    """``(parser, head, args)``: the parser that read ``argv`` and its namespace.
+def _parse(argv: list[str]) -> tuple[argparse.ArgumentParser, argparse.Namespace]:
+    """The parser of the command ``argv`` names, and its namespace of ``argv[1:]``.
 
-    A line that starts with a command goes to that command's parser alone,
-    built as ``build_parser`` builds its subparser.  Any other line, and a
-    line with arguments the command does not know, goes through the full
-    parser, so every help, usage and error text is the full parser's.
-    ``head`` is what that parser reads of ``argv`` ahead of ``argv[1:]``:
-    nothing, or the command name.
+    That parser is built as ``build_parser`` builds the command's subparser,
+    so it parses ``argv[1:]`` as the full parser would.  Any other line, and
+    a line with arguments the command does not know, goes to the full
+    parser, which exits with its help text or usage error, so every such
+    text is the full parser's.
     """
     if argv and argv[0] in COMMANDS:
         name = argv[0]
@@ -370,17 +368,17 @@ def _parse(argv: list[str]):
         parser.set_defaults(command=name)
         args, extras = parser.parse_known_args(argv[1:])
         if not extras:
-            return parser, [], args
-    parser = build_parser()
-    return parser, argv[:1], parser.parse_args(argv)
+            return parser, args
+    build_parser().parse_args(argv)
+    raise AssertionError(f"the full parser accepted {argv!r}, which no command's parser did")
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        parser, head, args = _parse(argv)
+        parser, args = _parse(argv)
         if getattr(args, "config", None):
-            args = _with_config(parser, args, head, argv[1:])
+            args = _with_config(parser, args, argv[1:])
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else DIAGNOSTICS
