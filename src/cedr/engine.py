@@ -2,9 +2,10 @@
 
 Each operator instance pairs an operational module (one pure operator from
 the algebra) with a consistency monitor.  The monitor owns an alignment
-buffer, the retained input state, and the log of emitted output, and runs
-one reconciliation loop: interpret the retained rows canonically, apply
-the pure operator, and diff the result against what was already emitted.
+buffer, the retained input state, and the outputs it has emitted and not
+retracted, and runs one reconciliation loop: interpret the retained rows
+canonically, apply the pure operator, and diff the result against those
+outputs.
 New results become insertion rows; results that shrank or vanished become
 retraction rows under the same lineage key (a start change forces a full
 removal plus re-insert under a fresh key).  Output is therefore always
@@ -26,7 +27,7 @@ import heapq
 import json
 from dataclasses import dataclass, replace
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple
 
 from . import algebra, patterns
 from .patterns import (
@@ -38,7 +39,6 @@ from .patterns import (
 )
 from .temporal import (
     INF,
-    AnnotatedHistoryTable,
     Payload,
     SyncPointPair,
     TemporalError,
@@ -362,14 +362,14 @@ class OperatorInstance:
         self._due: dict[tuple, object] = {}
         self._incarnations: dict[str, int] = {}
         self._payloads: dict[Payload, Payload] = {}
-        # (sync, row, event) per arrival and per emitted row; the wire form
-        # of a row is made only when a table is read (see _wire).
-        self._in_log: list[tuple] = []
-        self._out_log: list[tuple] = []
         self._clock = clock if clock is not None else [0]
         check_time(self._clock[0], "clock")
         self._max_seen: Time = NEG
-        self._pending_switch_rows: list[tuple] = []
+        # What a level switch must lie at or past: the largest sync of any
+        # row taken in (dropped ones too) or sent out, and the last stamp
+        # this instance gave.
+        self._max_sync: Time = NEG
+        self._last_stamp: Time = NEG
         self.blocking_time: Time = 0
         self.max_state_rows = 0
         self.output_rows = 0
@@ -398,7 +398,8 @@ class OperatorInstance:
         row = self._restamp(row)
         sync = row.o_s if row.k not in p.seen else row.o_e
         p.seen.add(row.k)
-        self._in_log.append((sync, row, event))
+        if sync > self._max_sync:
+            self._max_sync = sync
         if event is not None and row.o_s < row.o_e:
             self._store[row.id] = event
         horizon = self._horizon()
@@ -429,7 +430,7 @@ class OperatorInstance:
         # only then does the new one forget state.
         before = self._horizon()
         p.threshold = threshold
-        out = self._drain(before, frontier_moved=True)
+        out = self._drain(before, reconcile=self.level.blocking == INF)
         self._apply_horizon()
         self._sample_state()
         return out, self.output_guarantee()
@@ -444,24 +445,26 @@ class OperatorInstance:
             out.extend(self._declare(INF, port)[0])
         return out
 
-    def switch_level(self, new_level: ConsistencyLevel, at: SyncPointPair) -> None:
-        """Change the consistency level at a sync point of both streams."""
-        # Sync points read only sync values and arrival stamps: no wire form.
-        if not is_sync_point(((sync, row) for sync, row, _ in self._in_log), at):
-            raise NotASyncPoint(f"({at.t_o}, {at.t_c}) is not a sync point of the input")
-        if not is_sync_point(((sync, row) for sync, row, _ in self._out_log), at):
-            raise NotASyncPoint(f"({at.t_o}, {at.t_c}) is not a sync point of the output")
+    def switch_level(self, new_level: ConsistencyLevel, at: SyncPointPair
+                     ) -> list[TritemporalEvent]:
+        """Change the consistency level at the present; returns the rows it releases.
+
+        ``at`` must be a sync point of everything this instance took in and
+        sent out, with every row in its past: ``at.t_c`` at or after the
+        last stamp the instance gave, and ``at.t_o`` at or above the sync of
+        every row.  A switch before the last stamp could not be honoured,
+        since the rows after it were handled at the old level.
+        """
+        if at.t_c < self._last_stamp or at.t_o < self._max_sync:
+            raise NotASyncPoint(f"({at.t_o}, {at.t_c}) is not a sync point at or past the"
+                                f" present ({self._max_sync}, {self._last_stamp})")
         if new_level == self.level:
-            return
+            return []
+        # What the old level held back is reconciled under its horizon.
         before = self._horizon()
         self.level = new_level
-        self._pending_switch_rows.extend(self._drain(before, frontier_moved=True))
+        out = self._drain(before, reconcile=True)
         self._apply_horizon()
-
-    def take_switch_rows(self) -> list[TritemporalEvent]:
-        """Rows released by the level switches since the last call."""
-        out = self._pending_switch_rows
-        self._pending_switch_rows = []
         return _wire_all(out)
 
     def metrics(self) -> dict:
@@ -474,15 +477,6 @@ class OperatorInstance:
             "reconciles": self.reconciles,
             "evaluated_rows": self.evaluated_rows,
         }
-
-    def input_table(self) -> AnnotatedHistoryTable:
-        return AnnotatedHistoryTable((sync, _wire(row, e)) for sync, row, e in self._in_log)
-
-    def output_table(self) -> AnnotatedHistoryTable:
-        return AnnotatedHistoryTable((sync, _wire(row, e)) for sync, row, e in self._out_log)
-
-    def output_rows_list(self) -> list[TritemporalEvent]:
-        return [_wire(row, e) for _, row, e in self._out_log]
 
     def output_guarantee(self) -> Guarantee | None:
         frontier = self._guarantee_frontier()
@@ -552,20 +546,22 @@ class OperatorInstance:
                 del self._due[key]
                 del self._tracked[key]
 
-    def _drain(self, horizon: Time, frontier_moved: bool = False) -> list[tuple]:
+    def _drain(self, horizon: Time, reconcile: bool = False) -> list[tuple]:
         """Apply the buffered rows the release frontier passed, then reconcile.
 
         Rows are popped off the heap in (sync, c_s) order while its head is
         at or below the frontier, so a call that releases nothing reads only
-        the head, whatever waits behind it.
+        the head, whatever waits behind it.  It reconciles only if it
+        released a row or ``reconcile`` is set: when what may be emitted
+        changed without a row (a frontier move at infinite blocking, a
+        level switch).
 
         ``horizon`` is the memory horizon the rows were admitted under: no
         result anchored behind it, less the operator lag, is introduced.
         """
         release = self._release_frontier()
         buffer = self._buffer
-        if not (buffer and buffer[0][0] <= release
-                or frontier_moved and self.level.blocking == INF):
+        if not (buffer and buffer[0][0] <= release or reconcile):
             return []
         while buffer and buffer[0][0] <= release:
             _, c_s, port, row, event = heapq.heappop(buffer)
@@ -765,6 +761,7 @@ class OperatorInstance:
         """The next stamp of the shared arrival clock."""
         c_s = self._clock[0]
         self._clock[0] += 1
+        self._last_stamp = c_s
         return c_s
 
     def _reconcile(self, horizon: Time) -> list[tuple]:
@@ -816,30 +813,31 @@ class OperatorInstance:
                     o_e = self._out_event_oe(e)
                     self._tracked[key] = _Tracked(k, e, o_e)
                     row = self._out_row(k, e, o_e)
-                    emitted.append(self._log_out(row.o_s, row, e))
+                    emitted.append(self._emit(row.o_s, row, e))
                 elif op == "shrink":
                     tracked = self._tracked[key]
                     tracked.o_e = self._out_event_oe(e)
                     tracked.event = e
                     row = self._out_row(tracked.k, e, tracked.o_e)
                     self.retraction_rows += 1
-                    emitted.append(self._log_out(row.o_e, row, e))
+                    emitted.append(self._emit(row.o_e, row, e))
                 else:  # kill
                     tracked = self._tracked.pop(key)
                     e = tracked.event
                     row = self._out_row(tracked.k, e, self._anchor(e))
                     self.retraction_rows += 1
-                    emitted.append(self._log_out(row.o_e, row, e))
+                    emitted.append(self._emit(row.o_e, row, e))
         return emitted
 
-    def _log_out(self, sync: Time, row: TritemporalEvent, e) -> tuple:
-        """Log one emitted row; returns it paired with its event for _wire."""
+    def _emit(self, sync: Time, row: TritemporalEvent, e) -> tuple:
+        """Count one emitted row; returns it paired with its event for _wire."""
         self.output_rows += 1
+        if sync > self._max_sync:
+            self._max_sync = sync
         if self.module.pattern_mode:
             self._store.setdefault(row.id, e)
         else:
             e = None  # a merged row is its own wire form
-        self._out_log.append((sync, row, e))
         return row, e
 
     def _sample_state(self) -> None:
@@ -848,8 +846,8 @@ class OperatorInstance:
             self.max_state_rows = held
 
 
-def sync_points_of(a: AnnotatedHistoryTable) -> list[SyncPointPair]:
-    """Every per-row pair that cleanly separates past from future."""
+def sync_points_of(a: Collection[tuple[Time, TritemporalEvent]]) -> list[SyncPointPair]:
+    """Every per-row pair of an annotated table that cleanly separates past from future."""
     pairs = sorted({(sync, event.c_s) for sync, event in a})
     out = []
     for t_o, t_c in pairs:

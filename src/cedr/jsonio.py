@@ -72,11 +72,6 @@ def event_from_obj(obj: dict) -> TritemporalEvent:
     return TritemporalEvent._trusted(k, eid, v_s, v_e, o_s, o_e, c_s, c_e, payload)
 
 
-def unievent_to_obj(e: UnitemporalEvent) -> dict:
-    return {"id": e.id, "vs": fmt_time(e.v_s), "ve": fmt_time(e.v_e),
-            "payload": payload_to_obj(e.payload)}
-
-
 def unievent_from_obj(obj: dict) -> UnitemporalEvent:
     try:
         return UnitemporalEvent(

@@ -339,9 +339,6 @@ class AnnotatedHistoryTable:
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("AnnotatedHistoryTable is immutable")
 
-    def sorted_rows(self) -> list[AnnotatedRow]:
-        return sorted(self.rows, key=lambda r: (r.sync,) + r.event.sort_key)
-
 
 @dataclass(frozen=True, slots=True)
 class UnitemporalEvent:

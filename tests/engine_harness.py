@@ -10,13 +10,16 @@ from cedr.disorder import (
     rows_from_pattern,
     rows_from_unitemporal,
 )
-from cedr.engine import OperatorInstance, build_module
+from cedr.engine import NotASyncPoint, OperatorInstance, build_module, sync_points_of
 from cedr.patterns import PatternEvent
 from cedr.temporal import (
     INF,
     HistoryTable,
     Payload,
+    SyncPointPair,
     UnitemporalEvent,
+    annotate_sync,
+    canonical_at,
     canonical_to,
     projected,
 )
@@ -151,6 +154,58 @@ def run_module(module, arrivals, level, schedule=(), collect_guarantees=None,
         si += 1
     out.extend(inst.flush())
     return inst, out
+
+
+def switch_run(kind, arrivals, schedule, from_level, to_level, after=None):
+    """Feed a new instance at ``from_level`` and switch it to ``to_level`` once.
+
+    From the first third of the arrivals on, once a guarantee was declared,
+    the switch is tried before each arrival at the present: at the highest
+    threshold declared so far and the instance's next stamp.  A refused
+    switch (``NotASyncPoint``) is tried again before the next arrival.
+    ``after`` is called with the instance after every step but the flush.
+    Returns every row the instance released and whether it switched.
+    """
+    inst = OperatorInstance(module_under_test(kind), from_level)
+    sched = sorted(schedule, key=lambda s: s[0])
+    si, out, switched, floor = 0, [], False, -1
+
+    def step(rows):
+        out.extend(rows)
+        if after:
+            after(inst)
+
+    for i, (port, r) in enumerate(arrivals):
+        while si < len(sched) and sched[si][0] <= i:
+            _, port_g, threshold = sched[si]
+            step(inst.declare_guarantee(threshold, port_g)[0])
+            floor = max(floor, threshold)
+            si += 1
+        if i >= len(arrivals) // 3 and not switched and floor >= 0:
+            try:
+                rows = inst.switch_level(to_level, SyncPointPair(floor, inst._clock[0]))
+            except NotASyncPoint:
+                pass
+            else:
+                switched = True
+                step(rows)
+        step(inst.ingest(r, port))
+    for _, port_g, threshold in sched[si:]:
+        step(inst.declare_guarantee(threshold, port_g)[0])
+    out.extend(inst.flush())
+    return out, switched
+
+
+def states_at_sync_points(rows):
+    """The canonical content at each finite sync point of an instance's output rows."""
+    table = annotate_sync(HistoryTable(rows))
+    out = {}
+    for p in sync_points_of(table):
+        if p.t_o == INF:
+            continue
+        prefix = HistoryTable([r.event for r in table if r.event.c_s <= p.t_c])
+        out[p.t_o] = projected(canonical_at(prefix, p.t_o), include_lineage=False)
+    return out
 
 
 def encode_ports(ideal_ports, rng: random.Random, skew: int,

@@ -11,13 +11,7 @@ import time
 import pytest
 
 import oracle_patterns as oracle
-from cedr.engine import (
-    MIDDLE,
-    STRONG,
-    WEAK,
-    OperatorInstance,
-    sync_points_of,
-)
+from cedr.engine import MIDDLE, STRONG, WEAK
 from cedr.patterns import (
     all_of,
     any_of,
@@ -31,12 +25,10 @@ from cedr.patterns import (
 )
 from cedr.query import Duration, compile_query, parse
 from cedr.temporal import (
-    INF,
     HistoryTable,
     Payload,
     UnitemporalEvent,
     annotate_sync,
-    canonical_at,
     canonical_to,
     coalesce_star,
     logically_equivalent,
@@ -54,6 +46,8 @@ from engine_harness import (
     module_under_test,
     oracle_rows,
     run_module,
+    states_at_sync_points,
+    switch_run,
 )
 from fixtures import (
     ANNOTATED_SOURCE,
@@ -204,47 +198,6 @@ def test_criterion_5_pattern_denotation_oracle():
 AGREE_KINDS = ("select", "window", "join", "sequence", "unless", "cancel_when")
 
 
-def _states_at_sync_points(inst):
-    table = inst.output_table()
-    out = {}
-    for p in sync_points_of(table):
-        if p.t_o == INF:
-            continue
-        prefix = HistoryTable([r.event for r in table if r.event.c_s <= p.t_c])
-        out[p.t_o] = projected(canonical_at(prefix, p.t_o), include_lineage=False)
-    return out
-
-
-def _switch_run(kind, arrivals, schedule, from_level, to_level):
-    from cedr.temporal import is_sync_point
-    inst = OperatorInstance(module_under_test(kind), from_level)
-    sched = sorted(schedule, key=lambda s: s[0])
-    si, out, switched, floor = 0, [], False, -1
-    min_pos = len(arrivals) // 3
-    for i, (port, r) in enumerate(arrivals):
-        while si < len(sched) and sched[si][0] <= i:
-            rows, _ = inst.declare_guarantee(sched[si][2], sched[si][1])
-            floor = max(floor, sched[si][2]) if sched[si][2] != INF else floor
-            out.extend(rows)
-            si += 1
-        if i >= min_pos and not switched and floor >= 0:
-            usable = [p for p in sync_points_of(inst.output_table())
-                      if p.t_o != INF and p.t_o <= floor
-                      and is_sync_point(inst.input_table(), p)]
-            if usable:
-                inst.switch_level(to_level, usable[-1])
-                out.extend(inst.take_switch_rows())
-                switched = True
-    # fall through: remaining arrivals after the attempted switch
-        out.extend(inst.ingest(r, port))
-    while si < len(sched):
-        rows, _ = inst.declare_guarantee(sched[si][2], sched[si][1])
-        out.extend(rows)
-        si += 1
-    out.extend(inst.flush())
-    return out, switched
-
-
 def test_criterion_6_consistency_level_agreement():
     with criterion(6, "consistency-level agreement", 120.0):
         switches = 0
@@ -258,17 +211,17 @@ def test_criterion_6_consistency_level_agreement():
             schedule = honest_schedule(arrivals, every=3)
             states = []
             for level in (STRONG, MIDDLE, WEAK):
-                inst, _ = run_module(module_under_test(kind), arrivals,
-                                     level, schedule)
-                states.append(_states_at_sync_points(inst))
+                _, out = run_module(module_under_test(kind), arrivals,
+                                    level, schedule)
+                states.append(states_at_sync_points(out))
             common = set(states[0]) & set(states[1]) & set(states[2])
             for t_o in common:
                 assert states[0][t_o] == states[1][t_o] == states[2][t_o], \
                     (kind, workload_i, t_o)
             to_level = (MIDDLE, STRONG, WEAK)[workload_i % 3]
             from_level = (STRONG, MIDDLE, MIDDLE)[workload_i % 3]
-            out, switched = _switch_run(kind, arrivals, schedule,
-                                        from_level, to_level)
+            out, switched = switch_run(kind, arrivals, schedule,
+                                       from_level, to_level)
             if switched:
                 switches += 1
                 _, pure_out = run_module(module_under_test(kind), arrivals,

@@ -34,10 +34,9 @@ from cedr.temporal import (
     SyncPointPair,
     TritemporalEvent,
     UnitemporalEvent,
-    canonical_at,
+    annotate_sync,
     canonical_to,
     logically_equivalent,
-    projected,
 )
 
 from engine_harness import (
@@ -54,6 +53,8 @@ from engine_harness import (
     module_under_test,
     oracle_rows,
     run_module,
+    states_at_sync_points,
+    switch_run,
 )
 from fixtures import row
 
@@ -232,16 +233,22 @@ class TestKeyedGroupby:
 
     @staticmethod
     def _lockstep(module, level, calls):
-        """Make each call on a keyed and a one-bucket instance; compare them."""
+        """Make each call on a keyed and a one-bucket instance; compare them.
+
+        Returns both instances and the rows each of them emitted.
+        """
         keyed = OperatorInstance(module, level)
         whole = OperatorInstance(replace(module, partition=None), level)
         assert keyed.module.partition is not None
+        emitted = []
         for call in calls:
             seen = []
             for inst in (keyed, whole):
                 try:
                     rows, promise = call(inst)
                     seen.append((jsonio.dumps_events(rows), promise))
+                    if inst is keyed:
+                        emitted.extend(rows)
                 except TypeMismatch:
                     seen.append(TypeMismatch)
                 metrics = inst.metrics()
@@ -249,7 +256,7 @@ class TestKeyedGroupby:
                 seen.append(metrics)
             assert seen[:2] == seen[2:]
         assert keyed.evaluated_rows <= whole.evaluated_rows
-        return keyed, whole
+        return keyed, whole, emitted
 
     @staticmethod
     def _calls(arrivals, schedule):
@@ -275,7 +282,7 @@ class TestKeyedGroupby:
             arrivals = self._arrivals(rng)
             calls = self._calls(arrivals, honest_schedule(arrivals, every=3))
             for level in (STRONG, MIDDLE, WEAK):
-                keyed, whole = self._lockstep(module, level, calls)
+                keyed, whole, _ = self._lockstep(module, level, calls)
                 saved += whole.evaluated_rows - keyed.evaluated_rows
                 whole_rows += whole.output_rows
         assert whole_rows > 0
@@ -302,9 +309,9 @@ class TestKeyedGroupby:
             return call
         calls = [ingest(i, r) for i, r in enumerate(feed)]
         calls.append(lambda inst: (inst.flush(), None))
-        keyed, _ = self._lockstep(module, MIDDLE, calls)
+        _, _, emitted = self._lockstep(module, MIDDLE, calls)
         assert raised == [1, 1, 2, 2, 3, 3]
-        assert {(r.payload["g"], r.payload["x"]) for r in keyed.output_rows_list()} >= {
+        assert {(r.payload["g"], r.payload["x"]) for r in emitted} >= {
             (1, 5), (1, 9), (2, 3)}
 
 
@@ -341,10 +348,10 @@ class TestStrongMatchesOrderedRun:
         arrivals = [(0, r) for r in rows]
         schedule = honest_schedule(arrivals, every=2) + \
             [(len(arrivals), 1, INF)]
-        inst, out = run_module(module_under_test("unless"), arrivals,
-                               STRONG, schedule)
+        _, out = run_module(module_under_test("unless"), arrivals,
+                            STRONG, schedule)
         assert out, "workload produced no output"
-        table = inst.output_table()
+        table = annotate_sync(HistoryTable(out))
         points = set(sync_points_of(table))
         last_of_cluster: dict = {}
         for sync, event in table:
@@ -371,7 +378,7 @@ class TestMiddleRetractionProtocol:
         assert retraction.k == first[0].k
         assert retraction.o_s == retraction.o_e == 10
         assert inst.metrics()["retraction_rows"] == 1
-        assert content_set(inst.output_rows_list()) == frozenset()
+        assert content_set(first + second) == frozenset()
 
     def test_shrink_keeps_lineage(self):
         module = module_under_test("select")
@@ -510,12 +517,6 @@ class TestGuarantees:
             inst = OperatorInstance(module, level)
             floor = -1
             si, sched = 0, sorted(schedule, key=lambda s: s[0])
-
-            def check(rows):
-                for r in rows:
-                    sync = r.o_s if r.o_e > r.o_s or r.o_e == INF else r.o_e
-                    for s, e in inst.output_table():
-                        pass
             emitted_after = []
             for i, (port, r) in enumerate(arrivals):
                 while si < len(sched) and sched[si][0] <= i:
@@ -532,7 +533,8 @@ class TestGuarantees:
                     floor = max(floor, g.threshold)
                 si += 1
             emitted_after.extend((floor, r2) for r2 in inst.flush())
-            annotated = {r.event: r.sync for r in inst.output_table()}
+            annotated = {r.event: r.sync for r in
+                         annotate_sync(HistoryTable(r2 for _, r2 in emitted_after))}
             for promised, out_row in emitted_after:
                 assert annotated[out_row] > promised, (kind, trial, out_row)
 
@@ -584,16 +586,6 @@ class TestWellBehaved:
 
 
 class TestCrossLevelAgreement:
-    def _canonical_at_sync_points(self, inst):
-        table = inst.output_table()
-        points = sync_points_of(table)
-        state = {}
-        for p in points:
-            prefix = HistoryTable([r.event for r in table if r.event.c_s <= p.t_c])
-            state[p.t_o] = projected(canonical_at(prefix, p.t_o), include_lineage=False) \
-                if p.t_o != INF else None
-        return {t: s for t, s in state.items() if s is not None}
-
     @pytest.mark.parametrize("kind", ["select", "window", "sequence", "unless"])
     def test_levels_agree_at_common_sync_points(self, kind):
         rng = random.Random(f"agree-{kind}")
@@ -604,58 +596,15 @@ class TestCrossLevelAgreement:
             schedule = honest_schedule(arrivals, every=3)
             states = []
             for level in (STRONG, MIDDLE, WEAK):
-                inst, _ = run_module(module_under_test(kind), arrivals,
-                                     level, schedule)
-                states.append(self._canonical_at_sync_points(inst))
+                _, out = run_module(module_under_test(kind), arrivals,
+                                    level, schedule)
+                states.append(states_at_sync_points(out))
             common = set(states[0]) & set(states[1]) & set(states[2])
             for t_o in common:
                 assert states[0][t_o] == states[1][t_o] == states[2][t_o], (kind, trial, t_o)
 
 
 class TestSwitchLevel:
-    def _drive(self, arrivals, schedule, from_level, to_level, kind="select",
-               after=None):
-        # Switch at the first arrival index (past the first third) where a
-        # settled sync point exists in both the input and output streams.
-        # ``after`` is called with the instance after every step.
-        inst = OperatorInstance(module_under_test(kind), from_level)
-        sched = sorted(schedule, key=lambda s: s[0])
-        si = 0
-        out = []
-        switched = False
-        floor = -1
-        min_pos = len(arrivals) // 3
-        for i, (port, r) in enumerate(arrivals):
-            while si < len(sched) and sched[si][0] <= i:
-                rows, _ = inst.declare_guarantee(sched[si][2], sched[si][1])
-                floor = max(floor, sched[si][2])
-                out.extend(rows)
-                si += 1
-                if after:
-                    after(inst)
-            if i >= min_pos and not switched and floor >= 0:
-                from cedr.temporal import is_sync_point
-                usable = [p for p in sync_points_of(inst.output_table())
-                          if p.t_o != INF and p.t_o <= floor
-                          and is_sync_point(inst.input_table(), p)]
-                if usable:
-                    inst.switch_level(to_level, usable[-1])
-                    out.extend(inst.take_switch_rows())
-                    switched = True
-                    if after:
-                        after(inst)
-            out.extend(inst.ingest(r, port))
-            if after:
-                after(inst)
-        while si < len(sched):
-            rows, _ = inst.declare_guarantee(sched[si][2], sched[si][1])
-            out.extend(rows)
-            si += 1
-            if after:
-                after(inst)
-        out.extend(inst.flush())
-        return inst, out, switched
-
     def test_switch_matches_from_scratch_run(self):
         rng = random.Random("switch")
         hits = 0
@@ -663,7 +612,7 @@ class TestSwitchLevel:
             _, arrivals = make_merged_workload(rng, 1, 8, skew=2, retract_prob=0.2)
             schedule = honest_schedule(arrivals, every=2)
             for a, b in ((STRONG, MIDDLE), (MIDDLE, STRONG), (MIDDLE, WEAK)):
-                inst, out, switched = self._drive(arrivals, schedule, a, b)
+                out, switched = switch_run("select", arrivals, schedule, a, b)
                 if not switched:
                     continue
                 hits += 1
@@ -672,33 +621,89 @@ class TestSwitchLevel:
                 assert content_set(out) == content_set(pure_out)
         assert hits > 0
 
-    def test_switch_away_from_sync_point_rejected(self):
+    @staticmethod
+    def _select_fed(*syncs):
+        """A MIDDLE ``select`` fed one insertion per sync value, and its output rows."""
         inst = OperatorInstance(module_under_test("select"), MIDDLE)
-        r1 = TritemporalEvent("K", "e", 5, INF, 5, INF, 0,
-                              payload=Payload({"g": 0, "x": 5}))
-        inst.ingest(r1, 0)
+        out = []
+        for i, o_s in enumerate(syncs):
+            out += inst.ingest(row(f"K{i}", f"e{i}", o_s, INF, o_s, INF, 0,
+                                   payload={"g": 0, "x": 5}), 0)
+        return inst, out
+
+    def test_switch_away_from_sync_point_rejected(self):
+        inst, _ = self._select_fed(5)
         with pytest.raises(NotASyncPoint):
             inst.switch_level(STRONG, SyncPointPair(0, 99))
 
-    def test_second_switch_keeps_the_rows_the_first_released(self):
+    def test_a_sync_point_before_the_last_stamp_is_refused(self):
+        # Rows at sync 5 (stamps 0 and 1) and 9 (stamps 2 and 3): (5, 1)
+        # separates them, but the row at 9 was handled at the old level.
+        inst, out = self._select_fed(5, 9)
+        history = annotate_sync(HistoryTable(out))
+        assert SyncPointPair(5, 1) in sync_points_of(history)
+        with pytest.raises(NotASyncPoint):
+            inst.switch_level(STRONG, SyncPointPair(5, 1))
+        assert inst.level == MIDDLE
+        assert inst.switch_level(STRONG, SyncPointPair(9, 3)) == []
+        assert inst.level == STRONG
+
+    def test_an_output_sync_above_every_input_sync_counts(self):
+        # ``deletes`` emits an event of [2, 9) at its end, sync 9.
+        inst = OperatorInstance(module_under_test("deletes"), MIDDLE)
+        out = inst.ingest(row("K", "e", 0, INF, 2, 9, 0, payload={"g": 0}), 0)
+        assert [r.o_s for r in out] == [9]
+        present = inst._clock[0]
+        with pytest.raises(NotASyncPoint):
+            inst.switch_level(WEAK, SyncPointPair(8, present))
+        inst.switch_level(WEAK, SyncPointPair(9, present))
+        assert inst.level == WEAK
+
+    def test_a_row_dropped_behind_the_horizon_counts(self):
+        inst = OperatorInstance(module_under_test("select"), WEAK)
+        inst.declare_guarantee(10, 0)
+        late = row("K", "e", 5, INF, 5, 9, 0, payload={"g": 0, "x": 5})
+        assert inst.ingest(late, 0) == []
+        assert inst.metrics()["dropped_rows"] == 1
+        with pytest.raises(NotASyncPoint):
+            inst.switch_level(MIDDLE, SyncPointPair(4, inst._clock[0]))
+        inst.switch_level(MIDDLE, SyncPointPair(5, inst._clock[0]))
+        assert inst.level == MIDDLE
+
+    def test_each_switch_returns_its_own_rows(self):
+        # Unreleased at STRONG; blocking 1 releases syncs 0 and 1, MIDDLE
+        # the last one.
         inst = OperatorInstance(module_under_test("union"), STRONG)
         for i in range(3):
-            inst.ingest(row(f"K{i}", f"e{i}", 0, INF, i, i + 5, 0, payload={"g": i}), 0)
+            assert inst.ingest(row(f"K{i}", f"e{i}", 0, INF, i, i + 5, 0,
+                                   payload={"g": i}), 0) == []
         at = SyncPointPair(10**9, 10**9)
-        inst.switch_level(MIDDLE, at)
-        inst.switch_level(WEAK, at)
-        taken = inst.take_switch_rows()
-        assert len(taken) == inst.output_rows == 3
-        assert taken == inst.output_rows_list()
-        assert inst.take_switch_rows() == []
+        first = inst.switch_level(ConsistencyLevel(INF, 1), at)
+        second = inst.switch_level(MIDDLE, at)
+        assert [r.payload["g"] for r in first] == [0, 1]
+        assert [r.payload["g"] for r in second] == [2]
+        assert inst.output_rows == 3
+        assert inst.switch_level(WEAK, at) == []
 
     def test_switch_to_same_level_is_noop(self):
-        inst = OperatorInstance(module_under_test("select"), MIDDLE)
-        r1 = TritemporalEvent("K", "e", 5, INF, 5, INF, 0,
-                              payload=Payload({"g": 0, "x": 5}))
-        inst.ingest(r1, 0)
-        inst.switch_level(MIDDLE, SyncPointPair(5, 1))
-        assert inst.take_switch_rows() == []
+        inst, _ = self._select_fed(5)
+        assert inst.switch_level(MIDDLE, SyncPointPair(5, 1)) == []
+
+    def test_leaving_infinite_blocking_releases_what_it_held(self):
+        # At STRONG the composite of a1 and b1 (anchor 3) waits until the
+        # frontier less the scope passes it; the buffer is empty.  A switch
+        # to any finite blocking must release it at once.
+        for to in (MIDDLE, WEAK, ConsistencyLevel(INF, 5), ConsistencyLevel(20, 3)):
+            inst = OperatorInstance(build_module("sequence", k=2, w=10), STRONG)
+            inst.ingest(pattern_event_to_row(PatternEvent("a1", 1, 20, 1, INF, rt=1), "A1", 0), 0)
+            inst.ingest(pattern_event_to_row(PatternEvent("b1", 3, 20, 3, INF, rt=3), "B1", 0), 1)
+            for port in (0, 1):
+                assert inst.declare_guarantee(5, port)[0] == []
+            assert inst._buffer == []
+            out = inst.switch_level(to, SyncPointPair(5, inst._clock[0]))
+            assert [(r.o_s, r.payload["@cbt"]) for r in out] == [(3, '["a1", "b1"]')], to
+            assert _full_diff(inst) == []
+            assert content_set(out + inst.flush()) == content_set(out)
 
 
 class TestMetricsDirectional:
@@ -1737,8 +1742,8 @@ class TestIncrementalDiff:
             _, arrivals = maker(rng, arity_of(kind), 8, skew=2, retract_prob=0.2)
             schedule = honest_schedule(arrivals, every=2)
             for a, b in ((STRONG, MIDDLE), (MIDDLE, STRONG), (MIDDLE, WEAK), (WEAK, MIDDLE)):
-                _, _, switched = TestSwitchLevel()._drive(
-                    arrivals, schedule, a, b, kind, after=_settled((trial, a, b)))
+                _, switched = switch_run(kind, arrivals, schedule, a, b,
+                                         after=_settled((trial, a, b)))
                 switches += switched
         assert switches > 10
 
@@ -1893,9 +1898,9 @@ pipe.feed("A", pattern_event_to_row(a1, "K1", 0))
 pipe.feed("A", pattern_event_to_row(replace(a1, o_e=16), "K2", 0))
 pipe.feed("A", pattern_event_to_row(replace(a1, o_e=5), "K1", 0))
 pipe.flush()
-for node in pipe._nodes:
-    for r in node.instance.output_rows_list():
-        print(node.instance.name, r.k, r.o_s, r.o_e, r.c_s)
+print(*[node.instance.name for node in pipe._nodes])
+for r in pipe.outputs:
+    print(r.k, r.o_s, r.o_e, r.c_s)
 """
 
     def test_rows_do_not_depend_on_the_hash_seed(self):
@@ -1917,11 +1922,10 @@ for node in pipe._nodes:
         assert len(outputs) == 1
         # The longer-lived lineage is kept until its removal (arrival 4)
         # leaves the other one: only then does the composite shrink.
-        rows = [line.split() for line in outputs.pop().splitlines()]
-        assert [row[2:] for row in rows if row[0] == "sequenceop0"] == [
-            ["5", "inf", "2"], ["5", "16", "5"]]
-        # The leaves are ports of the SEQUENCE: no instance of theirs emits.
-        assert {row[0] for row in rows} == {"sequenceop0"}
+        nodes, *rows = [line.split() for line in outputs.pop().splitlines()]
+        assert [row[1:] for row in rows] == [["5", "inf", "2"], ["5", "16", "5"]]
+        # The leaves are ports of the SEQUENCE: it is the only instance.
+        assert nodes == ["sequenceop0"]
 
 
 class TestRemovalRows:

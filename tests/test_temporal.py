@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from cedr.temporal import (
     INF,
     AmbiguousLineage,
+    AnnotatedHistoryTable,
     AnnotatedRow,
     HistoryTable,
     InfiniteInterval,
@@ -315,6 +316,20 @@ class TestAnnotateSync:
         ])
         with pytest.raises(AmbiguousLineage):
             annotate_sync(t)
+
+
+class TestTableValueSemantics:
+    def test_a_table_is_the_value_of_its_set_of_rows(self):
+        rows = TABLE_A.sorted_rows()
+        a, b = HistoryTable(rows), HistoryTable(rows[::-1] + rows)
+        assert a == b and hash(a) == hash(b) and a != TABLE_B
+        assert rows[0] in a and REDUCED_B.sorted_rows()[0] not in a
+        assert a != rows and repr(a) == "HistoryTable(2 rows)"
+        annotated = annotate_sync(ANNOTATED_SOURCE)
+        # Plain (sync, row) pairs in any order give the same table.
+        again = AnnotatedHistoryTable((r.sync, r.event) for r in list(annotated)[::-1])
+        assert len(annotated) == 2 and annotated == again and hash(annotated) == hash(again)
+        assert annotated != annotate_sync(TABLE_A) and annotated != ANNOTATED_SOURCE
 
 
 class TestIsSyncPoint:
