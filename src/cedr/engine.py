@@ -124,10 +124,9 @@ def pattern_event_to_row(e: PatternEvent, k: str, c_s: Time) -> TritemporalEvent
 def _wire(row: TritemporalEvent, e: PatternEvent | None) -> TritemporalEvent:
     """The wire form of a row built from ``e``'s payload.
 
-    A row that carries a payload of its own (one that came in from the wire)
-    is its own wire form, and so is a row without an event (a merged row).
+    A row without an event (a merged row) is its own wire form.
     """
-    if e is None or row.payload is not e.payload or not (e.cbt or e.rt != e.v_s):
+    if e is None or not (e.cbt or e.rt != e.v_s):
         return row
     payload = Payload(e.payload.pairs + ((RT_ATTR, int(e.rt)),
                                          (CBT_ATTR, json.dumps(list(e.cbt)))))
@@ -176,13 +175,15 @@ class OpModule:
     events join every bucket), as :func:`patterns.make_partition` and a
     merged kind's partition rule build them; a module without it keeps all
     its state in one bucket.  Either way a reconcile evaluates only the
-    buckets a change reached since the last one.
+    buckets a change reached since the last one.  ``evaluate`` takes the
+    ports and a second argument that no module reads; an instance passes
+    None.
     """
 
     name: str
     arity: int
     pattern_mode: bool
-    evaluate: Callable[[tuple, dict], Iterable]
+    evaluate: Callable[[tuple, None], Iterable]
     lag: Time = 0
     coalescing: bool = False
     retire: Callable[[TritemporalEvent, Time, int], bool] | None = None
@@ -340,12 +341,10 @@ class OperatorInstance:
     """
 
     def __init__(self, module: OpModule, level: ConsistencyLevel = MIDDLE,
-                 name: str | None = None, store: dict | None = None,
-                 clock: list | None = None):
+                 name: str | None = None, clock: list | None = None):
         self.module = module
         self.level = level
         self.name = name or module.name
-        self._store = {} if store is None else store
         self._ports = [_Port() for _ in range(module.arity)]
         self._keys = module.partition or (None,) * module.arity
         # Each bucket's last output by stable key, the buckets holding each
@@ -391,8 +390,8 @@ class OperatorInstance:
         """``ingest`` of a row and, if the row is live, its decoded pattern event.
 
         Returns the released output as (row, event) pairs, for _wire.  A
-        removal row (``o_s == o_e``) is never decoded nor stored: its valid
-        interval may be empty, and it retracts an event already stored.
+        removal row (``o_s == o_e``) is never decoded: its valid interval
+        may be empty, and it retracts an event already taken in.
         """
         p = self._ports[port]
         row = self._restamp(row)
@@ -400,8 +399,6 @@ class OperatorInstance:
         p.seen.add(row.k)
         if sync > self._max_sync:
             self._max_sync = sync
-        if event is not None and row.o_s < row.o_e:
-            self._store[row.id] = event
         horizon = self._horizon()
         if sync < horizon:
             self.dropped_rows += 1
@@ -637,7 +634,7 @@ class OperatorInstance:
             ports = self._bucket_ports(bucket)
             if ports is not None:
                 self.evaluated_rows += sum(map(len, ports))
-                result = self.module.evaluate(ports, self._store)
+                result = self.module.evaluate(ports, None)
                 new = {self._stable_key(e): e for e in result}
                 if len(new) < len(result):
                     new = self._longest_lived((self._stable_key(e), e) for e in result)
@@ -775,9 +772,11 @@ class OperatorInstance:
         suppress_below = horizon - self.module.lag
 
         # (anchor, 0 for a tracked key or 1 for an untracked one, repr of
-        # the stable key, the key, its steps): a total order, as the repr
-        # tells keys apart.  The repr also names new lineages.
-        actions: list[tuple[Time, int, str, tuple, tuple]] = []
+        # the stable key, the key, whether its output is killed first, its
+        # new output or None): a total order, as the repr tells keys apart.
+        # The repr also names new lineages.  A new output is inserted if the
+        # key is untracked or killed first, and otherwise shrinks its output.
+        actions: list[tuple[Time, int, str, tuple, bool, object]] = []
         due = self._due
         for key, now in list(due.items()):
             tracked = self._tracked.get(key)
@@ -788,45 +787,41 @@ class OperatorInstance:
                 # genuinely new results whose anchors trail the inputs that
                 # produced them.
                 if anchor >= suppress_below and (bound is None or anchor <= bound):
-                    actions.append((anchor, 1, repr(key), key, (("insert", now),)))
+                    actions.append((anchor, 1, repr(key), key, False, now))
                 continue
             del due[key]
             new_o_e = self._out_event_oe(now) if now is not None else None
             if now is not None and new_o_e == tracked.o_e:
                 continue
-            anchor = self._anchor(tracked.event)
-            if now is None:
-                actions.append((anchor, 0, repr(key), key, (("kill", None),)))
-            elif new_o_e < tracked.o_e:
-                actions.append((new_o_e, 0, repr(key), key, (("shrink", now),)))
+            if now is not None and new_o_e < tracked.o_e:
+                actions.append((new_o_e, 0, repr(key), key, False, now))
             else:
-                actions.append((anchor, 0, repr(key), key, (("kill", None),
-                                                            ("insert", now))))
+                actions.append((self._anchor(tracked.event), 0, repr(key), key, True, now))
 
         actions.sort(key=itemgetter(0, 1, 2))
         emitted: list[tuple] = []
-        for _, _, text, key, steps in actions:
-            for op, e in steps:
-                if op == "insert":
-                    due.pop(key, None)
-                    k = self._fresh_k(text)
-                    o_e = self._out_event_oe(e)
-                    self._tracked[key] = _Tracked(k, e, o_e)
-                    row = self._out_row(k, e, o_e)
-                    emitted.append(self._emit(row.o_s, row, e))
-                elif op == "shrink":
-                    tracked = self._tracked[key]
-                    tracked.o_e = self._out_event_oe(e)
-                    tracked.event = e
-                    row = self._out_row(tracked.k, e, tracked.o_e)
-                    self.retraction_rows += 1
-                    emitted.append(self._emit(row.o_e, row, e))
-                else:  # kill
-                    tracked = self._tracked.pop(key)
-                    e = tracked.event
-                    row = self._out_row(tracked.k, e, self._anchor(e))
-                    self.retraction_rows += 1
-                    emitted.append(self._emit(row.o_e, row, e))
+        for _, untracked, text, key, kill_first, e in actions:
+            if kill_first:
+                tracked = self._tracked.pop(key)
+                row = self._out_row(tracked.k, tracked.event, self._anchor(tracked.event))
+                self.retraction_rows += 1
+                emitted.append(self._emit(row.o_e, row, tracked.event))
+            if e is None:
+                continue
+            if untracked or kill_first:
+                due.pop(key, None)
+                k = self._fresh_k(text)
+                o_e = self._out_event_oe(e)
+                self._tracked[key] = _Tracked(k, e, o_e)
+                row = self._out_row(k, e, o_e)
+                emitted.append(self._emit(row.o_s, row, e))
+            else:
+                tracked = self._tracked[key]
+                tracked.o_e = self._out_event_oe(e)
+                tracked.event = e
+                row = self._out_row(tracked.k, e, tracked.o_e)
+                self.retraction_rows += 1
+                emitted.append(self._emit(row.o_e, row, e))
         return emitted
 
     def _emit(self, sync: Time, row: TritemporalEvent, e) -> tuple:
@@ -834,9 +829,7 @@ class OperatorInstance:
         self.output_rows += 1
         if sync > self._max_sync:
             self._max_sync = sync
-        if self.module.pattern_mode:
-            self._store.setdefault(row.id, e)
-        else:
+        if not self.module.pattern_mode:
             e = None  # a merged row is its own wire form
         return row, e
 
@@ -881,9 +874,13 @@ class Pipeline:
     and preorder position, leaves counted, and ``node_levels`` naming
     anything else raises ``ValueError``.  Slice and projection wrappers
     at the plan root run inside the root operator's module, so its
-    reconcile diffs, keys and counts the events they give.  The whole
-    pipeline shares one arrival clock and one lineage store, so predicate
-    injection can resolve contributor references anywhere.
+    reconcile diffs, keys and counts the events they give.
+
+    The instances share only the arrival clock.  The pipeline owns the
+    lineage store (event id to event), through which the predicate and
+    partition hooks resolve contributor references anywhere in the plan,
+    and is its only writer: every live event that enters an instance, a
+    leaf row or a child's output, passes through ``_push``.
     """
 
     def __init__(self, plan, level: ConsistencyLevel = MIDDLE,
@@ -935,7 +932,7 @@ class Pipeline:
 
             module = replace(module, evaluate=wrapped)
         instance = OperatorInstance(module, node_levels.get(name, level),
-                                    name=name, store=self._store, clock=self._clock)
+                                    name=name, clock=self._clock)
         node = _Node(instance, parent, parent_port)
         self._nodes.append(node)
         if not ports:  # a root leaf reads its stream and tests its own predicates
@@ -943,10 +940,6 @@ class Pipeline:
         for i, child in enumerate(ports):
             self._build(child, node, i, level, node_levels)
         return node
-
-    @property
-    def streams(self) -> list[str]:
-        return sorted(self._leaves)
 
     def feed(self, stream: str, row: TritemporalEvent) -> list[TritemporalEvent]:
         released = []
@@ -991,6 +984,8 @@ class Pipeline:
 
     def _push(self, node: _Node, port: int, row: TritemporalEvent,
               event: PatternEvent | None) -> list[TritemporalEvent]:
+        if event is not None and row.o_s < row.o_e:
+            self._store[row.id] = event
         return self._forward(node, node.instance._take(row, port, event))
 
     def _forward(self, node: _Node, out: list[tuple]) -> list[TritemporalEvent]:
@@ -1037,7 +1032,7 @@ def pipeline_to_obj(pipeline: Pipeline) -> dict:
     }
 
 
-def pipeline_from_obj(obj: dict, default_level: ConsistencyLevel = MIDDLE) -> Pipeline:
+def pipeline_from_obj(obj: dict) -> Pipeline:
     """Build a pipeline from the wiring format produced by the compiler side.
 
     ``obj["plan"]`` is the serialized plan tree; the optional
@@ -1045,7 +1040,7 @@ def pipeline_from_obj(obj: dict, default_level: ConsistencyLevel = MIDDLE) -> Pi
     ``obj["node_levels"]`` maps node names to per-node overrides.
     """
     plan = patterns.plan_from_obj(obj["plan"])
-    level = _level_from_obj(obj["level"]) if "level" in obj else default_level
+    level = _level_from_obj(obj["level"]) if "level" in obj else MIDDLE
     overrides = {name: _level_from_obj(spec)
                  for name, spec in obj.get("node_levels", {}).items()}
     return Pipeline(plan, level, overrides)

@@ -2,8 +2,7 @@
 
 Tritemporal rows: one object per line with keys ``k``, ``id``, ``vs``,
 ``ve``, ``os``, ``oe``, ``cs``, ``ce``, ``payload``; a missing ``ce``
-defaults to infinity.  Unitemporal rows carry ``id``, ``vs``, ``ve``,
-``payload``.  Timestamps are ints, or the text ``"inf"``.
+defaults to infinity.  Timestamps are ints, or the text ``"inf"``.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from .temporal import (
     HistoryTable,
     Payload,
     TritemporalEvent,
-    UnitemporalEvent,
     _check_intervals,
     fmt_time,
     parse_time,
@@ -72,16 +70,7 @@ def event_from_obj(obj: dict) -> TritemporalEvent:
     return TritemporalEvent._trusted(k, eid, v_s, v_e, o_s, o_e, c_s, c_e, payload)
 
 
-def unievent_from_obj(obj: dict) -> UnitemporalEvent:
-    try:
-        return UnitemporalEvent(
-            parse_time(obj["vs"], "vs"), parse_time(obj["ve"], "ve"),
-            payload_from_obj(obj.get("payload", {})), id=obj.get("id", ""))
-    except KeyError as exc:
-        raise ValueError(f"missing field {exc.args[0]!r}") from exc
-
-
-def _parse_lines(text: str, from_obj):
+def loads_events(text: str) -> list[TritemporalEvent]:
     rows = []
     # "\n" only: str.splitlines() also breaks at characters, such as U+2028,
     # that JSON allows raw inside strings.  A trailing "\r" is whitespace.
@@ -92,14 +81,10 @@ def _parse_lines(text: str, from_obj):
             obj = json.loads(line)
             if not isinstance(obj, dict):
                 raise ValueError("each line must be a JSON object")
-            rows.append(from_obj(obj))
+            rows.append(event_from_obj(obj))
         except (ValueError, TypeError) as exc:
             raise LineFormatError(lineno, str(exc)) from exc
     return rows
-
-
-def loads_events(text: str) -> list[TritemporalEvent]:
-    return _parse_lines(text, event_from_obj)
 
 
 # allow_nan=False: a payload with a non-finite float is an error here, not

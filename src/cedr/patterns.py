@@ -759,13 +759,9 @@ def node_params(node) -> dict:
     return params
 
 
-def evaluate_plan(plan, inputs: Mapping[str, Iterable[PatternEvent]],
-                  store: EventStore | None = None) -> frozenset[PatternEvent]:
+def evaluate_plan(plan, inputs: Mapping[str, Iterable[PatternEvent]]) -> frozenset[PatternEvent]:
     """Evaluate a plan tree over named input streams."""
-    store = {} if store is None else store
-    for events in inputs.values():
-        for e in events:
-            store[e.id] = e
+    store: EventStore = {e.id: e for events in inputs.values() for e in events}
 
     def walk(node) -> frozenset[PatternEvent]:
         kind = node_kind(node)

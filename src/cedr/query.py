@@ -328,9 +328,9 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def error(self, tok: _Token, message: str, hint: str | None = None):
+    def error(self, tok: _Token, message: str):
         self.diagnostics.append(Diagnostic(
-            "error", tok.line, tok.col, max(len(tok.text), 1), message, hint))
+            "error", tok.line, tok.col, max(len(tok.text), 1), message))
         raise _ParseAbort
 
     def at_keyword(self, word: str) -> bool:

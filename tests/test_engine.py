@@ -1216,6 +1216,13 @@ class TestPipelineCrossLevel:
             # payloads is rejected by concat_payloads.
             lambda rng, stream: Payload({"Slot" if stream == "B" else "Machine_Id":
                                          rng.choice(("m1", "m2", "m3"))})),
+        "variable two composites deep": (
+            # x is resolved through two composites, each of which the
+            # pipeline must have put in its lineage store on the way up.
+            "EVENT q WHEN SEQUENCE(SEQUENCE(SEQUENCE(A x, B y, 10), C z, 20), D u, 40) "
+            "WHERE {x.Machine_Id = u.Machine_Id}",
+            lambda rng, stream: Payload({"Slot" if stream in ("B", "C") else "Machine_Id":
+                                         rng.choice(("m1", "m2", "m3"))})),
         "equality with an inequality": (
             "EVENT q WHEN SEQUENCE(A x, B y, 12) "
             "WHERE {x.Machine_Id = y.Machine_Id} AND {x.Slot != y.Slot}",
@@ -1433,7 +1440,7 @@ class TestPartitionedSequence:
             assert partition is not None
             module = build_module("sequence", k=2, w=20, accept=accept,
                                   partition=partition)
-            inst = OperatorInstance(module, MIDDLE, store=store)
+            inst = OperatorInstance(module, MIDDLE)
             arrivals = [(port, e) for port, events in enumerate(ports) for e in events]
             rng.shuffle(arrivals)
             for i, (port, e) in enumerate(arrivals):
@@ -1567,7 +1574,7 @@ class _IdleWatch:
                 assert inst.evaluated_rows == evaluated, inst.name
                 self.idle += inst.reconciles > reconciles and any(live)
             assert not inst._stale
-            full = set(inst.module.evaluate(live, inst._store))
+            full = set(inst.module.evaluate(live, None))
             ideal = inst._ideal()
             assert set(ideal) == {inst._stable_key(e) for e in full}, inst.name
             assert set(ideal.values()) <= full, inst.name

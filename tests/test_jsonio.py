@@ -3,7 +3,7 @@
 ``dumps_events`` must write what ``json.dumps`` writes of ``event_to_obj``
 (sorted keys, default separators, ASCII escapes, no NaN), and the reader
 must accept and reject exactly what it always has, with the same message.
-The rejection grids are pinned by a sha256 of every line's outcome, taken
+The rejection grid is pinned by a sha256 of every line's outcome, taken
 from the reader that checked each field through the public constructors.
 """
 
@@ -19,7 +19,6 @@ from cedr.jsonio import (
     dumps_events,
     event_to_obj,
     loads_events,
-    unievent_from_obj,
 )
 from cedr.temporal import INF, Payload, TritemporalEvent
 
@@ -181,20 +180,12 @@ ROW_VARIANTS = {
 }
 ROW_BASE = {"k": "K0", "id": "e0", "vs": 1, "ve": 5, "os": 1, "oe": "inf", "cs": 0,
             "ce": "inf", "payload": {"m": "x"}}
-UNI_VARIANTS = {
-    "id": [MISSING, 7, None],
-    "vs": TIME_VARIANTS,
-    "ve": TIME_VARIANTS,
-    "payload": ROW_VARIANTS["payload"],
-}
-UNI_BASE = {"id": "u0", "vs": 1, "ve": 5, "payload": {"m": "x"}}
 
 # sha256 of every grid line and its outcome, from the reader that built each
 # row through the checking constructors.  ROW_GRID_SHA was written again when
 # the reader began to reject a JSON array or object as ``k`` or ``id``; only
 # lines holding such a ``k`` or ``id`` changed their outcome.
 ROW_GRID_SHA = "23b5fdc8f792a12ba7bfccc7f6e94ef62e1ecee4c64aa8cb3ee65e32983a37f4"
-UNI_GRID_SHA = "bd716c9c53d853c6ef4f717f01927c36068f5b8e550c768dd9a4ed765cbd7107"
 
 
 def grid(base: dict, variants: dict):
@@ -233,13 +224,6 @@ def row_grid_digest():
     return grid_digest(ROW_BASE, ROW_VARIANTS, loads_events, lambda obj: json.dumps(obj) + "\n")
 
 
-def uni_grid_digest():
-    return grid_digest(UNI_BASE, UNI_VARIANTS, unievent_from_obj, lambda obj: obj)
-
-
 class TestRejectionParity:
     def test_row_lines(self):
         assert row_grid_digest() == (3476, ROW_GRID_SHA)
-
-    def test_unitemporal_objects(self):
-        assert uni_grid_digest() == (432, UNI_GRID_SHA)
