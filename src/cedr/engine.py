@@ -128,8 +128,8 @@ def _wire(row: TritemporalEvent, e: PatternEvent | None) -> TritemporalEvent:
     """
     if e is None or not (e.cbt or e.rt != e.v_s):
         return row
-    payload = Payload(e.payload.pairs + ((RT_ATTR, int(e.rt)),
-                                         (CBT_ATTR, json.dumps(list(e.cbt)))))
+    payload = Payload([*e.payload.items(), (RT_ATTR, int(e.rt)),
+                       (CBT_ATTR, json.dumps(list(e.cbt)))])
     return TritemporalEvent._trusted(row.k, row.id, row.v_s, row.v_e, row.o_s, row.o_e,
                                      row.c_s, row.c_e, payload)
 
@@ -148,7 +148,7 @@ def pattern_event_from_row(r: TritemporalEvent) -> PatternEvent:
         return PatternEvent(r.id, r.v_s, r.v_e, r.o_s, r.o_e, r.v_s, (), payload)
     rt = payload.get(RT_ATTR, r.v_s)
     cbt = tuple(json.loads(payload.get(CBT_ATTR, "[]")))
-    payload = Payload([(n, v) for n, v in payload.pairs if n not in RESERVED_ATTRS])
+    payload = Payload([(n, v) for n, v in payload.items() if n not in RESERVED_ATTRS])
     return PatternEvent(r.id, r.v_s, r.v_e, r.o_s, r.o_e, rt, cbt, payload)
 
 
@@ -749,7 +749,7 @@ class OperatorInstance:
         # equal payload with its attributes in another order keeps its own
         # object, because its text form shows the order.
         payload = self._payloads.setdefault(e.payload, e.payload)
-        if payload.pairs != e.payload.pairs:
+        if payload is not e.payload and tuple(payload._map) != tuple(e.payload._map):
             payload = e.payload
         return TritemporalEvent._trusted(k, e.id, e.v_s, INF, e.v_s, o_e,
                                          self._tick(), INF, payload)

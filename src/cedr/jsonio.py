@@ -30,7 +30,7 @@ class LineFormatError(Exception):
 
 
 def payload_to_obj(p: Payload) -> dict:
-    return dict(p.pairs)
+    return dict(p.items())
 
 
 def payload_from_obj(obj: object) -> Payload:
@@ -106,7 +106,7 @@ def dumps_events(rows: Iterable[TritemporalEvent]) -> str:
         f'"id": {_encode(r.id)}, "k": {_encode(r.k)}, '
         f'"oe": {inf if r.o_e == INF else int(r.o_e)}, '
         f'"os": {inf if r.o_s == INF else int(r.o_s)}, '
-        f'"payload": {_encode(dict(r.payload.pairs))}, '
+        f'"payload": {_encode(r.payload._map)}, '
         f'"ve": {inf if r.v_e == INF else int(r.v_e)}, '
         f'"vs": {inf if r.v_s == INF else int(r.v_s)}}}\n'
         for r in rows)

@@ -20,7 +20,7 @@ columns are projected away.
 from __future__ import annotations
 
 import struct
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
@@ -99,20 +99,19 @@ class Payload(Mapping):
 
     Equality is field-by-field and deterministic: floats compare bitwise,
     so coalescing and set difference never depend on float formatting.
-    ``pairs`` holds the (name, value) pairs in insertion order; hot paths
-    iterate it rather than the slower ``items()`` view.
+    A payload stores its attributes once, in a dict it owns; ``items()``
+    returns that dict's own view of the (name, value) pairs in insertion
+    order, the fast path for reading them.
     """
 
-    __slots__ = ("pairs", "_map", "_key", "_hash")
+    __slots__ = ("_map", "_key", "_hash")
 
     def __init__(self, items: Mapping | Iterable[tuple[str, Scalar]] = ()):
         if type(items) is dict or isinstance(items, Mapping):
-            pairs = tuple(items.items())
-        else:
-            pairs = tuple(items)
+            items = items.items()
         seen: dict[str, Scalar] = {}
         keys = []
-        for name, value in pairs:
+        for name, value in items:
             if not isinstance(name, str):
                 raise TypeError(f"payload attribute names must be str, got {name!r}")
             if name in seen:
@@ -120,7 +119,6 @@ class Payload(Mapping):
             keys.append((name, _scalar_key(value)))
             seen[name] = value
         key = frozenset(keys)
-        object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "_map", seen)
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
@@ -135,7 +133,10 @@ class Payload(Mapping):
         return iter(self._map)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self._map)
+
+    def items(self) -> ItemsView[str, Scalar]:
+        return self._map.items()
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Payload):
@@ -146,7 +147,7 @@ class Payload(Mapping):
         return self._hash
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{n}={v!r}" for n, v in self.pairs)
+        inner = ", ".join(f"{n}={v!r}" for n, v in self._map.items())
         return f"Payload({inner})"
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
@@ -183,7 +184,7 @@ def concat_payloads(parts: Iterable[Payload]) -> Payload:
     counts: dict[str, int] = {}
     for p in parts:
         value_keys = dict(p._key)
-        for name, value in p.pairs:
+        for name, value in p._map.items():
             n = counts.get(name, 0) + 1
             unique = name if n == 1 else f"{name}#{n}"
             while unique in out:
@@ -193,7 +194,7 @@ def concat_payloads(parts: Iterable[Payload]) -> Payload:
             out[unique] = value
             keys.append((unique, value_keys[name]))
     key = frozenset(keys)
-    return Payload._trusted(tuple(out.items()), out, key, hash(key))
+    return Payload._trusted(out, key, hash(key))
 
 
 @dataclass(frozen=True, slots=True)

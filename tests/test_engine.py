@@ -1875,7 +1875,7 @@ class TestSlicedRetractions:
         pipe = Pipeline(plan, level)
         pipe.feed("A", pattern_event_to_row(a1, "K1", 0))
         pipe.flush()
-        assert [dict(r.payload.pairs) for r in pipe.outputs] == [
+        assert [dict(r.payload.items()) for r in pipe.outputs] == [
             {"m": 1, "@rt": 2, "@cbt": "[]"}]
         want = rows_from_pattern(evaluate_plan(plan, {"A": [a1]}), key_prefix="o")
         assert content_set(pipe.outputs) == content_set(want)
@@ -1990,6 +1990,19 @@ class TestSharedOutputPayloads:
             assert all(len(ids) == 1 for ids in objects.values()), kind
             emitted.append(len(out))
         assert sum(emitted) > 20
+
+    def test_attribute_order_keeps_its_own_object(self):
+        # Equal payloads in two attribute orders: the second row must not
+        # take the object interned for the first, because the order shows
+        # in its repr and in the stable and lineage keys downstream.
+        inst = OperatorInstance(build_module("select", f=lambda p: True), MIDDLE)
+        out = []
+        for i, pairs in enumerate(([("a", 1), ("b", 2)], [("b", 2), ("a", 1)])):
+            out += inst.ingest(TritemporalEvent(f"K{i}", f"e{i}", 20 * i, INF, 20 * i,
+                                                20 * i + 9, i, payload=Payload(pairs)), 0)
+        out += inst.flush()
+        assert [list(r.payload) for r in out] == [["a", "b"], ["b", "a"]]
+        assert [repr(r.payload) for r in out] == ["Payload(a=1, b=2)", "Payload(b=2, a=1)"]
 
     def test_pattern_rows_keep_their_wire_form(self):
         pipe = Pipeline(SequenceOp((Leaf("A", "x"), Leaf("B", "y")), 10), MIDDLE)

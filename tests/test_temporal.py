@@ -75,6 +75,18 @@ class TestTimestampsAndPayload:
         with pytest.raises(ValueError):
             Payload([("a", 1), ("a", 2)])
 
+    def test_payload_takes_a_one_shot_iterator(self):
+        pairs = [("m", 1), ("a", 2.5), ("x", "s"), ("b", True)]
+        want = Payload(pairs)
+        got = Payload(pair for pair in pairs)
+        assert got == want and hash(got) == hash(want)
+        assert list(got.items()) == list(want.items()) == pairs
+        assert repr(got) == repr(want)
+        with pytest.raises(ValueError):
+            Payload(pair for pair in [("a", 1), ("b", 2), ("a", 3)])
+        with pytest.raises(TypeError):
+            Payload(pair for pair in [("a", 1), (2, 2)])
+
     def test_concat_suffixes_collisions(self):
         merged = concat_payloads([Payload({"m": 1, "a": 2}), Payload({"m": 7})])
         assert dict(merged.items()) == {"m": 1, "a": 2, "m#2": 7}
@@ -105,13 +117,13 @@ class TestTimestampsAndPayload:
                 # A nested composite's part, carrying suffixed names.
                 parts.insert(rng.randrange(len(parts) + 1), concat_payloads(parts[:2]))
             got = concat_payloads(parts)
-            want = Payload(got.pairs)
-            assert got.pairs == want.pairs
+            want = Payload(got.items())
+            assert tuple(got.items()) == tuple(want.items())
             assert got == want and want == got
             assert hash(got) == hash(want)
             assert repr(got) == repr(want)
             assert got.canon == want.canon
-            assert all(got[name] is value for name, value in want.pairs)
+            assert all(got[name] is value for name, value in want.items())
             checked += len(got)
         assert checked > 1000
 

@@ -177,7 +177,7 @@ class TestTrustedBuilds:
         assert out and {"_restamp", "_out_row", "_wire"} <= sites
         for r in out:
             assert r == TritemporalEvent(r.k, r.id, r.v_s, r.v_e, r.o_s, r.o_e, r.c_s, r.c_e,
-                                         Payload(r.payload.pairs))
+                                         Payload(r.payload.items()))
 
 
 def disordered_tables():
