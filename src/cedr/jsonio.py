@@ -3,11 +3,20 @@
 Tritemporal rows: one object per line with keys ``k``, ``id``, ``vs``,
 ``ve``, ``os``, ``oe``, ``cs``, ``ce``, ``payload``; a missing ``ce``
 defaults to infinity.  Timestamps are ints, or the text ``"inf"``.
+
+Reading scans each line once with the C scanner that ``json.loads`` uses;
+only a line the scan cannot take whole (whitespace around the object, or
+bad JSON) goes through ``json.loads``, which accepts the padded line or
+raises its own message.  A decoded payload object is built without
+re-checking its names, which JSON makes unique strings; its values are
+still checked.  Writing encodes every payload through one C encoder built
+at import, with ``json.dumps``'s settings.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Iterable
 
 from .temporal import (
@@ -16,6 +25,7 @@ from .temporal import (
     Payload,
     TritemporalEvent,
     _check_intervals,
+    _scalar_key,
     fmt_time,
     parse_time,
 )
@@ -34,9 +44,18 @@ def payload_to_obj(p: Payload) -> dict:
 
 
 def payload_from_obj(obj: object) -> Payload:
+    """The payload of a decoded JSON object, whose names are unique strings.
+
+    Only the values are checked, in order, as ``Payload(obj)`` checks them.
+    The payload owns a copy of ``obj``.
+    """
     if not isinstance(obj, dict):
         raise ValueError(f"payload must be an object, got {type(obj).__name__}")
-    return Payload(obj)
+    keys = []
+    for name, value in obj.items():
+        keys.append((name, ("s", value) if type(value) is str else _scalar_key(value)))
+    key = frozenset(keys)
+    return Payload._trusted(dict(obj), key, hash(key))
 
 
 def event_to_obj(e: TritemporalEvent) -> dict:
@@ -70,6 +89,10 @@ def event_from_obj(obj: dict) -> TritemporalEvent:
     return TritemporalEvent._trusted(k, eid, v_s, v_e, o_s, o_e, c_s, c_e, payload)
 
 
+# json.loads's decoder settings; scan_once decodes one value at an index.
+_scan = json.JSONDecoder().scan_once
+
+
 def loads_events(text: str) -> list[TritemporalEvent]:
     rows = []
     # "\n" only: str.splitlines() also breaks at characters, such as U+2028,
@@ -78,7 +101,15 @@ def loads_events(text: str) -> list[TritemporalEvent]:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            # A scan from index 0 that ends at the line's end decodes what
+            # json.loads would; any other line takes json.loads itself, which
+            # skips surrounding whitespace or raises its own message.
+            try:
+                obj, end = _scan(line, 0)
+            except (StopIteration, json.JSONDecodeError):
+                end = -1
+            if end != len(line):
+                obj = json.loads(line)
             if not isinstance(obj, dict):
                 raise ValueError("each line must be a JSON object")
             rows.append(event_from_obj(obj))
@@ -89,7 +120,14 @@ def loads_events(text: str) -> list[TritemporalEvent]:
 
 # allow_nan=False: a payload with a non-finite float is an error here, not
 # a silently invalid JSON document.
-_encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
+_encoder = json.JSONEncoder(sort_keys=True, allow_nan=False)
+_encode = _encoder.encode
+# The C encoder that _encode builds anew for every object, built once: no
+# circular-reference markers (a payload holds only scalars), ASCII escapes,
+# default separators, sorted keys, allow_nan=False.  It keeps no state
+# between calls and returns the encoded chunks.
+_encode_map = c_make_encoder(None, _encoder.default, encode_basestring_ascii, None,
+                             ": ", ", ", True, False, False)
 
 
 def dumps_events(rows: Iterable[TritemporalEvent]) -> str:
@@ -100,13 +138,15 @@ def dumps_events(rows: Iterable[TritemporalEvent]) -> str:
     ``"inf"`` or its int.
     """
     inf = '"inf"'
+    quote = encode_basestring_ascii
     return "".join(
         f'{{"ce": {inf if r.c_e == INF else int(r.c_e)}, '
         f'"cs": {inf if r.c_s == INF else int(r.c_s)}, '
-        f'"id": {_encode(r.id)}, "k": {_encode(r.k)}, '
+        f'"id": {quote(r.id) if type(r.id) is str else _encode(r.id)}, '
+        f'"k": {quote(r.k) if type(r.k) is str else _encode(r.k)}, '
         f'"oe": {inf if r.o_e == INF else int(r.o_e)}, '
         f'"os": {inf if r.o_s == INF else int(r.o_s)}, '
-        f'"payload": {_encode(r.payload._map)}, '
+        f'"payload": {"".join(_encode_map(r.payload._map, 0))}, '
         f'"ve": {inf if r.v_e == INF else int(r.v_e)}, '
         f'"vs": {inf if r.v_s == INF else int(r.v_s)}}}\n'
         for r in rows)

@@ -86,6 +86,13 @@ class TestWriter:
         with pytest.raises(ValueError):
             dumps_events([row])
 
+    def test_the_shared_encoder_keeps_nothing_from_a_failed_call(self):
+        bad = TritemporalEvent("K", "e", 1, 5, 1, INF, 0, payload=Payload({"x": float("nan")}))
+        rows = gen.clean_pattern_stream(1, 20) + EDGE_ROWS
+        with pytest.raises(ValueError):
+            dumps_events(rows[:3] + [bad])
+        assert dumps_events(rows) == reference_dumps(rows)
+
     def test_unserializable_lineage_key_is_a_type_error_both_ways(self):
         row = TritemporalEvent(object(), "e", 1, 5, 1, INF, 0)
         with pytest.raises(TypeError):
@@ -139,7 +146,56 @@ class TestLineSplitting:
         assert loads_events(text) == rows
 
 
+def reference_loads(text: str) -> list:
+    """The reader as it was before it scanned lines: ``json.loads`` on each."""
+    rows = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise ValueError("each line must be a JSON object")
+            rows.append(jsonio.event_from_obj(obj))
+        except (ValueError, TypeError) as exc:
+            raise LineFormatError(lineno, str(exc)) from exc
+    return rows
+
+
+GOOD_LINE = json.dumps(event_to_obj(TritemporalEvent("K", "e", 1, 5, 1, INF, 0,
+                                                     payload=Payload({"m": "x"}))))
+PARITY_LINES = [
+    " " + GOOD_LINE, GOOD_LINE + " ", "\t" + GOOD_LINE, GOOD_LINE + "\t",
+    "\r" + GOOD_LINE, GOOD_LINE + "\r", " \t" + GOOD_LINE + "\r",
+    GOOD_LINE + GOOD_LINE, GOOD_LINE + " " + GOOD_LINE,
+    "\ufeff" + GOOD_LINE,
+    "[1]", "3", '"x"', "null", "{}", "{ }",
+    GOOD_LINE.replace('"x"', "NaN"), GOOD_LINE.replace('"x"', "-Infinity"),
+    GOOD_LINE[:-5], GOOD_LINE + "}",
+    "\x0c" + GOOD_LINE, "\xa0" + GOOD_LINE,
+    GOOD_LINE.replace('{"m": "x"}', '{"m": "x", "m": 2}'),
+    GOOD_LINE.replace('{"m": "x"}', '{"m": "x", "n": [1], "m": 2}'),
+]
+
+
 class TestReader:
+    @pytest.mark.parametrize("line", PARITY_LINES, ids=range(len(PARITY_LINES)))
+    def test_each_line_reads_as_json_loads_reads_it(self, line):
+        for text in (line, line + "\n" + line, line + "\n" + GOOD_LINE + "\n" + line):
+            assert outcome(loads_events, text) == outcome(reference_loads, text)
+
+    def test_a_decoded_payload_keeps_its_order_and_owns_its_map(self):
+        obj = {"b": 1, "a": 2}
+        payload = jsonio.payload_from_obj(obj)
+        assert list(payload) == ["b", "a"]
+        assert repr(payload) == "Payload(b=1, a=2)"
+        obj["c"] = 3
+        obj["b"] = 4
+        assert list(payload.items()) == [("b", 1), ("a", 2)]
+        assert payload == Payload({"a": 2, "b": 1})
+        row, = loads_events(GOOD_LINE.replace('{"m": "x"}', '{"b": 1, "a": 2}'))
+        assert list(row.payload) == ["b", "a"] and repr(row.payload) == "Payload(b=1, a=2)"
+
     def test_each_time_is_parsed_once_and_not_checked_again(self, monkeypatch):
         calls = {"parse_time": 0, "check_time": 0}
 

@@ -66,13 +66,14 @@ PLANS = [compile_query(parse(src).ast).plan for src in QUERIES]
 # input streams inside the check, so disorder.restamp_arrivals is one.
 TRUSTED_SITES = {"_composite", "_pass_through", "_restamp", "_out_row", "_wire",
                  "pattern_event_from_row", "pattern_event_to_row", "restamp_arrivals",
-                 "slice_pattern_events", "project_payload"}
+                 "slice_pattern_events", "project_payload", "concat_payloads"}
 
-# The same for the merged operators, which build UnitemporalEvents.
+# The same for the merged operators, which build UnitemporalEvents, and
+# join's composite payloads.
 MERGED_UNDER_TEST = ("union", "difference", "groupby", "join", "project")
 TRUSTED_MERGED_SITES = {"_restamp", "_out_row", "merged_event_from_row", "coalesce_star",
                         "union", "difference", "groupby_aggregate", "join", "project",
-                        "restamp_arrivals"}
+                        "restamp_arrivals", "concat_payloads"}
 
 
 @contextmanager
@@ -81,16 +82,23 @@ def checked_trusted_builds(sites: set):
 
     The checking constructor raises on invalid fields; the two results must
     be equal, also in the fields equality skips (``UnitemporalEvent.id``).
-    ``sites`` collects the names of the calling functions; a comprehension
-    counts as the function it runs in.
+    A payload is built unchecked from its map, key and hash; it must equal
+    ``Payload(map)`` with the same attribute order and hash.  ``sites``
+    collects the names of the calling functions; a comprehension counts as
+    the function it runs in.
     """
     saved = []
-    for cls in (TritemporalEvent, PatternEvent, UnitemporalEvent):
+    for cls in (TritemporalEvent, PatternEvent, UnitemporalEvent, Payload):
         trusted = cls._trusted
 
         def build(*fields, cls=cls, trusted=trusted):
             built = trusted(*fields)
-            checked = cls(*fields)
+            if cls is Payload:
+                checked = Payload(fields[0])
+                assert (list(built.items()) == list(checked.items())
+                        and built._hash == checked._hash), fields
+            else:
+                checked = cls(*fields)
             assert built == checked and repr(built) == repr(checked), (cls.__name__, fields)
             frame = sys._getframe(1)
             while frame.f_code.co_name.startswith("<"):
@@ -197,7 +205,7 @@ class TestTrustedEdgeBuilds:
         texts = [dumps_events(table.sorted_rows()) for table in disordered_tables()]
         with checked_trusted_builds(sites):
             decoded = [loads_events(text) for text in texts]
-        assert sites == {"event_from_obj"}
+        assert sites == {"event_from_obj", "payload_from_obj"}
         assert [dumps_events(rows) for rows in decoded] == texts
 
     def test_truncated_rows_equal_the_checked_build(self):
