@@ -147,7 +147,7 @@ class TestLineSplitting:
 
 
 def reference_loads(text: str) -> list:
-    """The reader as it was before it scanned lines: ``json.loads`` on each."""
+    """The reference reader: ``json.loads`` on each line, then ``event_from_obj``."""
     rows = []
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
