@@ -22,7 +22,7 @@ import sys
 
 from .disorder import disorder_stream
 from .engine import ConsistencyLevel, Pipeline
-from .jsonio import LineFormatError, dumps_events, read_events, write_table
+from .jsonio import LineFormatError, dumps_events, read_events
 from .patterns import plan_dumps
 from .query import ast_to_obj, compile_query, leaf_streams, parse
 from .temporal import (
@@ -244,10 +244,7 @@ def cmd_disorder(args) -> int:
 def cmd_canon(args) -> int:
     rows = _read_stream(args.input)
     canon = (canonical_to if args.mode == "to" else canonical_at)(rows, args.t0)
-    if args.output:
-        write_table(canon, args.output)
-    else:
-        _write_rows(canon.sorted_rows(), None)
+    _write_rows(canon.sorted_rows(), args.output)
     return OK
 
 

@@ -47,7 +47,9 @@ from .temporal import (
     UnitemporalEvent,
     _reduce_wins,
     check_time,
+    fmt_time,
     is_sync_point,
+    parse_time,
 )
 
 NEG = float("-inf")
@@ -286,13 +288,13 @@ def build_module(kind: str, **params) -> OpModule:
                         lag, merged.coalescing,
                         _retire_never if merged.keeps_history else _retire_after(lag),
                         merged.partition(params) if merged.partition else None)
-    p = {"w": 1, "k": 2, **params}
-    run, accept, blocks = node.run, p.get("accept"), p.get("blocks")
-    arity = node.arity(p)
-    return OpModule(kind, arity, True, lambda ports, store: run(p, ports, accept, blocks),
-                    node.lag(p), False,
-                    _retire_pattern(node.retire(p), (arity - 1,) if node.keep_blocker else ()),
-                    p.get("partition"))
+    run, accept, blocks = node.run, params.get("accept"), params.get("blocks")
+    arity = node.arity(params)
+    return OpModule(kind, arity, True, lambda ports, store: run(params, ports, accept, blocks),
+                    node.lag(params), False,
+                    _retire_pattern(node.retire(params),
+                                    (arity - 1,) if node.keep_blocker else ()),
+                    params.get("partition"))
 
 
 # --- the operator instance ---------------------------------------------------
@@ -318,12 +320,11 @@ class _Port:
 
 
 class _Tracked:
-    __slots__ = ("k", "event", "o_e")
+    __slots__ = ("k", "event")
 
-    def __init__(self, k, event, o_e):
+    def __init__(self, k, event):
         self.k = k
         self.event = event
-        self.o_e = o_e
 
 
 class OperatorInstance:
@@ -382,12 +383,13 @@ class OperatorInstance:
     def ingest(self, row: TritemporalEvent, port: int = 0) -> list[TritemporalEvent]:
         """Accept one arrival; returns whatever output it releases."""
         event = None
-        if self.module.pattern_mode and row.o_s < row.o_e:
-            event = pattern_event_from_row(row)
+        if row.o_s < row.o_e:
+            event = (pattern_event_from_row if self.module.pattern_mode
+                     else merged_event_from_row)(row)
         return _wire_all(self._take(row, port, event))
 
     def _take(self, row: TritemporalEvent, port: int, event) -> list[tuple]:
-        """``ingest`` of a row and, if the row is live, its decoded pattern event.
+        """``ingest`` of a row and, if the row is live, its decoded event.
 
         Returns the released output as (row, event) pairs, for _wire.  A
         removal row (``o_s == o_e``) is never decoded: its valid interval
@@ -486,8 +488,8 @@ class OperatorInstance:
         if self.module.coalescing:
             # Any still-open output can shrink past the frontier and then be
             # re-extended by a later merge, forcing a removal at its start.
-            at_risk = [t.event.v_s for t in self._tracked.values()
-                       if t.o_e > frontier]
+            at_risk = [t.event.o_s for t in self._tracked.values()
+                       if t.event.o_e > frontier]
             if at_risk:
                 threshold = min(threshold, min(at_risk) - 1)
         if threshold < 0:
@@ -575,11 +577,6 @@ class OperatorInstance:
             return
         p.reduced[row.k] = row
         if row.o_s < row.o_e:
-            # Merged rows are decoded here, not on ingest: a removal row
-            # (o_s == o_e) is no valid unitemporal event, and a row that
-            # loses the reduce is never read.
-            if not self.module.pattern_mode:
-                event = merged_event_from_row(row)
             key = self._keys[port]
             joined = (EVERY,) if key is None else key(event)
             if p.joined.get(row.k) != joined:
@@ -640,7 +637,6 @@ class OperatorInstance:
                     new = self._longest_lived((self._stable_key(e), e) for e in result)
             results.append((bucket, new))
         self._stale = set()
-        oe = self._out_event_oe
         changed = []
         for bucket, new in results:
             old = self._outputs.get(bucket, {})
@@ -653,7 +649,7 @@ class OperatorInstance:
                 if was is None:
                     self._holders[key] = self._holders.get(key, ()) + (bucket,)
                     changed.append(key)
-                elif oe(was) != oe(e):
+                elif was.o_e != e.o_e:
                     changed.append(key)
             for key in old:
                 if key not in new:
@@ -698,7 +694,7 @@ class OperatorInstance:
         out: dict[tuple, object] = {}
         for key, e in pairs:
             cur = out.get(key)
-            if cur is None or self._out_event_oe(e) > self._out_event_oe(cur):
+            if cur is None or e.o_e > cur.o_e:
                 out[key] = e
         return out
 
@@ -728,12 +724,6 @@ class OperatorInstance:
         n = self._incarnations.get(digest, 0) + 1
         self._incarnations[digest] = n
         return f"{self.name}:{digest}#{n}"
-
-    def _out_event_oe(self, e) -> Time:
-        return e.o_e if self.module.pattern_mode else e.v_e
-
-    def _anchor(self, e) -> Time:
-        return e.o_s if self.module.pattern_mode else e.v_s
 
     def _out_row(self, k: str, e, o_e: Time) -> TritemporalEvent:
         """The output row of ``e`` under lineage ``k``, its occurrence ending at ``o_e``.
@@ -781,7 +771,7 @@ class OperatorInstance:
         for key, now in list(due.items()):
             tracked = self._tracked.get(key)
             if tracked is None:
-                anchor = self._anchor(now)
+                anchor = now.o_s
                 # Forgotten past: results anchored behind the memory horizon
                 # are never (re)introduced.  The operator lag protects
                 # genuinely new results whose anchors trail the inputs that
@@ -790,20 +780,19 @@ class OperatorInstance:
                     actions.append((anchor, 1, repr(key), key, False, now))
                 continue
             del due[key]
-            new_o_e = self._out_event_oe(now) if now is not None else None
-            if now is not None and new_o_e == tracked.o_e:
+            if now is not None and now.o_e == tracked.event.o_e:
                 continue
-            if now is not None and new_o_e < tracked.o_e:
-                actions.append((new_o_e, 0, repr(key), key, False, now))
+            if now is not None and now.o_e < tracked.event.o_e:
+                actions.append((now.o_e, 0, repr(key), key, False, now))
             else:
-                actions.append((self._anchor(tracked.event), 0, repr(key), key, True, now))
+                actions.append((tracked.event.o_s, 0, repr(key), key, True, now))
 
         actions.sort(key=itemgetter(0, 1, 2))
         emitted: list[tuple] = []
         for _, untracked, text, key, kill_first, e in actions:
             if kill_first:
                 tracked = self._tracked.pop(key)
-                row = self._out_row(tracked.k, tracked.event, self._anchor(tracked.event))
+                row = self._out_row(tracked.k, tracked.event, tracked.event.o_s)
                 self.retraction_rows += 1
                 emitted.append(self._emit(row.o_e, row, tracked.event))
             if e is None:
@@ -811,15 +800,13 @@ class OperatorInstance:
             if untracked or kill_first:
                 due.pop(key, None)
                 k = self._fresh_k(text)
-                o_e = self._out_event_oe(e)
-                self._tracked[key] = _Tracked(k, e, o_e)
-                row = self._out_row(k, e, o_e)
+                self._tracked[key] = _Tracked(k, e)
+                row = self._out_row(k, e, e.o_e)
                 emitted.append(self._emit(row.o_s, row, e))
             else:
                 tracked = self._tracked[key]
-                tracked.o_e = self._out_event_oe(e)
                 tracked.event = e
-                row = self._out_row(tracked.k, e, tracked.o_e)
+                row = self._out_row(tracked.k, e, e.o_e)
                 self.retraction_rows += 1
                 emitted.append(self._emit(row.o_e, row, e))
         return emitted
@@ -1009,8 +996,6 @@ class Pipeline:
 
 
 def _level_from_obj(obj: dict) -> ConsistencyLevel:
-    from .temporal import parse_time
-
     if "name" in obj:
         return ConsistencyLevel.named(obj["name"])
     return ConsistencyLevel(parse_time(obj["memory"], "memory"),
@@ -1018,8 +1003,6 @@ def _level_from_obj(obj: dict) -> ConsistencyLevel:
 
 
 def _level_to_obj(level: ConsistencyLevel) -> dict:
-    from .temporal import fmt_time
-
     return {"memory": fmt_time(level.memory), "blocking": fmt_time(level.blocking)}
 
 

@@ -21,7 +21,6 @@ from typing import Iterable
 
 from .temporal import (
     INF,
-    HistoryTable,
     Payload,
     TritemporalEvent,
     _check_intervals,
@@ -160,7 +159,3 @@ def read_events(path: str) -> list[TritemporalEvent]:
 def write_events(rows: Iterable[TritemporalEvent], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps_events(rows))
-
-
-def write_table(table: HistoryTable, path: str) -> None:
-    write_events(table.sorted_rows(), path)

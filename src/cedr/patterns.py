@@ -710,8 +710,8 @@ def _partition_key(path: Path, attr: str, store: EventStore, unresolved: tuple,
 
 def _clip(lo: Time, hi: Time, s: Time, e: Time) -> tuple[Time, Time] | None:
     if s == e:
-        # Removal markers are clamped into the slice, never dropped: losing
-        # one would resurrect its lineage's earlier assertion.
+        # An event with an empty interval is kept, clamped to a point of the
+        # slice.
         point = min(max(s, lo), hi)
         return (point, point)
     cs, ce = max(s, lo), min(e, hi)
@@ -898,11 +898,12 @@ class NodeKind:
         self.fields = tuple((name, dump, load) for name, (_, _, dump, load) in roles)
         self.params = tuple((param, _getter(name, measure))
                             for name, (param, measure, _, _) in roles if param)
-        # A raw field without a default is a parameter the operator cannot
-        # run without; a leaf's raw fields name its input instead.
+        # A parameter field without a default (the scope, the children, a
+        # raw field) is one the operator cannot run without; a leaf's raw
+        # fields name its input instead.
         self.required = () if binding == LEAF else tuple(
-            f.name for f in dataclass_fields(cls)
-            if f.name not in _ROLES and f.default is MISSING)
+            param for f, (_, (param, _, _, _)) in zip(dataclass_fields(cls), roles)
+            if param and f.default is MISSING)
         self.many, self.single = "children" in names, "child" in names
         self.negated = "blocker" in names
         if self.many:
@@ -971,7 +972,7 @@ NODE_KINDS = (
     NodeKind(CancelWhenOp, "cancel_when", TRANSPARENT,
              lambda p, ports, accept, blocks: cancel_when(ports[0], ports[1],
                                                           accept=accept, blocks=blocks),
-             lag=_fixed(0), retire=_scope, keep_blocker=True),
+             lag=_fixed(0), retire=_fixed(1), keep_blocker=True),
     NodeKind(SliceOp, "slice", TRANSPARENT,
              lambda p, ports, accept, blocks: slice_pattern_events(ports[0], p["occ"],
                                                                    p["valid"])),

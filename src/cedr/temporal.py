@@ -367,6 +367,9 @@ class UnitemporalEvent:
 
 
 UnitemporalEvent._trusted = _trusted_constructor(UnitemporalEvent)
+# In the single-axis reading the lifetime is the occurrence interval.
+UnitemporalEvent.o_s = UnitemporalEvent.__dict__["v_s"]
+UnitemporalEvent.o_e = UnitemporalEvent.__dict__["v_e"]
 
 
 @dataclass(frozen=True, slots=True)

@@ -123,6 +123,11 @@ class TestGroupbyAggregate:
             ue(1, 5, Payload({"g": 1, "x": 5})),
         }
 
+    @pytest.mark.parametrize("agg, target", [("median", "x"), ("sum", None)])
+    def test_unknown_or_targetless_aggregate_rejected(self, agg, target):
+        with pytest.raises(ValueError):
+            groupby_aggregate({ue(1, 5, P1)}, agg=agg, target=target)
+
     def test_non_numeric_target_rejected(self):
         with pytest.raises(TypeMismatch):
             groupby_aggregate({ue(1, 5, Payload({"x": "oops"}))}, agg="sum", target="x")

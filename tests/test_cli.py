@@ -131,6 +131,10 @@ class TestRun:
         assert "error: --input names stream 'INSTALL' twice" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_input_without_equals_exits_one(self, query_file, capsys):
+        assert main(["run", "--query", str(query_file), "--input", "A"]) == 1
+        assert "error: --input expects name=path, got 'A'" in capsys.readouterr().err
+
     def test_bad_query_exits_one(self, tmp_path):
         q = tmp_path / "bad.cedr"
         q.write_text("EVENT e WHEN FOO(A)")
@@ -325,6 +329,20 @@ class TestDisorder:
         src = self._write(tmp_path, TABLE_A.sorted_rows())
         assert main(["disorder", "--input", str(src)]) == 1
 
+    @pytest.mark.parametrize("argv", [["--skew", "-1"], ["--retract-prob", "1.5"]])
+    def test_knob_out_of_range_exits_one(self, tmp_path, capsys, argv):
+        src = self._write(tmp_path, TABLE_A.sorted_rows())
+        assert main(["disorder", "--input", str(src), "--seed", "1", *argv]) == 1
+        assert ("error: --skew must be >= 0 and --retract-prob within [0, 1]"
+                in capsys.readouterr().err)
+
+    def test_config_line_without_equals_is_a_usage_error(self, tmp_path, capsys):
+        src = self._write(tmp_path, TABLE_A.sorted_rows())
+        cfg = tmp_path / "disorder.cfg"
+        cfg.write_text("seed\n")
+        assert main(["disorder", "--input", str(src), "--config", str(cfg)]) == 2
+        assert f"error: {cfg}:1: expected key = value" in capsys.readouterr().err
+
     def test_seed_reproducible(self, tmp_path):
         rows = [row("K%d" % i, "e%d" % i, i, i + 5, i, INF, i) for i in range(10)]
         src = self._write(tmp_path, rows)
@@ -368,6 +386,21 @@ class TestCanonEquiv:
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["canon", "--input", str(tmp_path / "nope.jsonl"),
                      "--t0", "3"]) == 2
+
+    def test_canon_writes_the_same_bytes_to_stdout_and_to_a_file(self, tmp_path, capsys):
+        a, _ = self._tables(tmp_path)
+        out = tmp_path / "canon.jsonl"
+        argv = ["canon", "--input", str(a), "--t0", "inf", "--mode", "to"]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert main([*argv, "--output", str(out)]) == 0
+        assert printed and out.read_text(encoding="utf-8") == printed
+
+    def test_output_into_missing_directory_exit_two(self, tmp_path, capsys):
+        a, _ = self._tables(tmp_path)
+        assert main(["canon", "--input", str(a), "--t0", "3",
+                     "--output", str(tmp_path / "missing" / "canon.jsonl")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("command,t0", [("canon", "-3"), ("equiv", "x")])
     def test_bad_t0_is_a_usage_error(self, tmp_path, capsys, command, t0):

@@ -46,6 +46,7 @@ from engine_harness import (
     content_set,
     encode_stream,
     gen_pattern,
+    gen_unitemporal,
     honest_schedule,
     interleave,
     make_merged_workload,
@@ -116,6 +117,29 @@ class TestBuildModule:
     def test_selection_size_is_required_when_built(self, kind):
         with pytest.raises(KeyError, match="needs n"):
             build_module(kind, k=2, w=5)
+
+    @pytest.mark.parametrize("kind, params, name", [("sequence", {"k": 2}, "w"),
+                                                    ("all", {"w": 5}, "k")])
+    def test_scope_and_child_count_have_no_defaults(self, kind, params, name):
+        with pytest.raises(KeyError, match=f"needs {name}"):
+            build_module(kind, **params)
+
+    def test_cancel_when_retires_at_window_one(self):
+        # A child row is forgotten once its end and start + 1 both lie
+        # before horizon - 1; a canceller is never forgotten.
+        retire = build_module("cancel_when").retire
+        decisions = set()
+        for horizon in (20, 57):
+            for v_s in (0, horizon - 4, horizon - 3, horizon - 2):
+                for o_e in (v_s, v_s + 1, horizon - 2, horizon - 1, horizon, INF):
+                    if o_e < v_s:
+                        continue
+                    r = row("k", "e", v_s, v_s + 5, v_s, o_e, 0)
+                    forgotten = o_e != INF and max(o_e, v_s + 1) < horizon - 1
+                    assert retire(r, horizon, 0) is forgotten, (horizon, v_s, o_e)
+                    assert retire(r, horizon, 1) is False, (horizon, v_s, o_e)
+                    decisions.add(forgotten)
+        assert decisions == {True, False}
 
     @pytest.mark.parametrize("kind", ["filter", "nope"])
     def test_unknown_kind_is_rejected(self, kind):
@@ -1675,7 +1699,7 @@ def _full_diff(inst) -> list:
     ideal = inst._ideal()
     module = inst.module
     todo = [key for key, tracked in inst._tracked.items()
-            if key not in ideal or inst._out_event_oe(ideal[key]) != tracked.o_e]
+            if key not in ideal or ideal[key].o_e != tracked.event.o_e]
     bound = None
     if inst.level.blocking == INF:
         frontier = inst._guarantee_frontier()
@@ -1826,6 +1850,35 @@ class TestDecodeOnce:
         assert pipe.metrics()["total"]["max_state_rows"] > 100
         assert counts["arrivals"] == sum(map(len, rows.values()))
         assert counts["decodes"] <= counts["arrivals"] + emitted
+
+    def test_merged_rows_are_decoded_once_on_arrival(self, monkeypatch):
+        # A merged instance decodes each live arrival once, when it arrives,
+        # whether or not the row wins its lineage's reduce; removal rows
+        # are never decoded.
+        import cedr.engine as engine
+
+        rng = random.Random("decode-once-merged")
+        arrivals = interleave(rng, [
+            encode_stream(rows_from_unitemporal(gen_unitemporal(rng, 40),
+                                                key_prefix=f"{name}k"),
+                          rng, skew=6, retract_prob=0.5)
+            for name in ("A", "B")])
+        decodes = []
+        decode = engine.merged_event_from_row
+
+        def counted_decode(r):
+            decodes.append(r)
+            return decode(r)
+
+        monkeypatch.setattr(engine, "merged_event_from_row", counted_decode)
+        inst = OperatorInstance(build_module("union"), STRONG)
+        for port, r in arrivals:
+            before = len(decodes)
+            inst.ingest(r, port)
+            assert len(decodes) - before == (r.o_s < r.o_e), r
+        inst.flush()
+        live = [r for _, r in arrivals if r.o_s < r.o_e]
+        assert len(decodes) == len(live) and len(live) < len(arrivals)
 
 
 class TestSlicedRetractions:

@@ -118,6 +118,11 @@ class TestSequence:
         with pytest.raises(ArityMismatch):
             sequence([[ev("a", 1)]], 5)
 
+    @pytest.mark.parametrize("w", [0, 2.5])
+    def test_scope_must_be_a_positive_tick_count(self, w):
+        with pytest.raises(ValueError):
+            sequence([[ev("a", 1)], [ev("b", 3)]], w)
+
 
 class TestMacros:
     def test_all_is_atleast_k(self):
@@ -152,6 +157,10 @@ class TestAtMost:
     def test_loose_bound_passes_both(self):
         out = atmost(3, [[ev("a", 1), ev("b", 2)]], 5)
         assert {c.cbt for c in out} == {("a",), ("b",)}
+
+    def test_negative_bound_rejected(self):
+        with pytest.raises(ArityMismatch):
+            atmost(-1, [[ev("a", 1)]], 5)
 
 
 class TestUnless:
@@ -394,6 +403,16 @@ class TestPredicateInjection:
             Predicate(AttrRef("x", "Machine_Id"), "=", "m1"),
         ])
         assert plan.child.children[0].preds[0].rhs == "m1"
+
+    def test_unknown_operator_rejected(self):
+        with pytest.raises(ValueError):
+            Predicate(AttrRef("x", "a"), "~", 5)
+
+    def test_incomparable_values_fail(self):
+        events = {"x": primitive("a", 1, 9, payload={"a": "s"}),
+                  "y": primitive("b", 2, 9, payload={"b": 3})}
+        pred = Predicate(AttrRef("x", "a"), "<", AttrRef("y", "b"))
+        assert pred.test(events.get) is False
 
     def test_unbound_variable_rejected(self):
         with pytest.raises(UnboundVariable):

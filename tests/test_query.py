@@ -110,6 +110,29 @@ class TestParseErrors:
         d = result.diagnostics[0]
         assert d.line >= 1 and d.col >= 1 and d.length >= 1
 
+    SEQ = "EVENT q WHEN SEQUENCE(A x, B y, 5)"
+
+    @pytest.mark.parametrize("source, rendered", [
+        ("EVENT q WHEN (A)", "error: 1:14: expected an event type or operator"),
+        ("EVENT q WHEN SEQUENCE(A x, B y, 5", "error: 1:34: expected ')'"),
+        (SEQ + " WHERE {5 = x.a}",
+         "error: 1:42: the left side of a comparison must be var.attr"),
+        (SEQ + " WHERE {x.a y.b}", "error: 1:47: expected a comparison operator"),
+        (SEQ + " WHERE CorrelationKey(a, SAME)",
+         "error: 1:60: CorrelationKey kind must be EQUAL or UNIQUE"),
+        (SEQ + " WHERE [a Is 5]", "error: 1:45: expected Equal"),
+        (SEQ + " WHERE x",
+         "error: 1:42: expected a WHERE term: {...}, CorrelationKey(...), or [...]"),
+        (SEQ + " WHERE [a Equal x]", "error: 1:51: expected a literal"),
+        (SEQ + " @ [1, x]", "error: 1:42: expected a tick count or inf"),
+        ("EVENT q WHEN " + "SEQUENCE(" * 3000, "error: 1:1: expression nested too deeply"),
+        (123, "error: 1:1: expected EVENT"),
+    ], ids=lambda v: repr(v)[:48])
+    def test_one_diagnostic_per_malformed_source(self, source, rendered):
+        result = parse(source)
+        assert not result.ok
+        assert [d.render() for d in result.diagnostics] == [rendered]
+
 
 class TestCompileErrors:
     def test_unless_prime_rejected(self):

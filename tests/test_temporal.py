@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -131,6 +133,25 @@ class TestTimestampsAndPayload:
         assert Payload({"x": True}) != Payload({"x": 1})
 
 
+class TestSingleAxisReading:
+    def test_occurrence_interval_is_the_lifetime(self):
+        e = UnitemporalEvent(3, 8, Payload({"x": 1}), id="e")
+        assert (e.o_s, e.o_e) == (3, 8)
+        # Aliases, not fields: equality, hash and repr see the lifetime once.
+        assert [f.name for f in dataclasses.fields(e)] == ["v_s", "v_e", "payload", "id"]
+        assert "o_s" not in repr(e) and "o_e" not in repr(e)
+        other = UnitemporalEvent(3, 8, Payload({"x": 1}), id="f")
+        assert e == other and hash(e) == hash(other)
+        assert e != UnitemporalEvent(3, 9, Payload({"x": 1}), id="e")
+        # Assignment fails as for any other name; CPython 3.11 raises
+        # TypeError, not FrozenInstanceError, for a name that is not a field
+        # of a frozen slotted dataclass.
+        for name in ("o_s", "o_e"):
+            with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+                setattr(e, name, 4)
+        assert (e.v_s, e.v_e, e.o_s, e.o_e) == (3, 8, 3, 8)
+
+
 class TestMeets:
     def test_endpoint_equality(self):
         assert meets((1, 5), (5, 9)) is True
@@ -140,6 +161,10 @@ class TestMeets:
 
     def test_gap_is_not_meeting(self):
         assert meets((1, 5), (6, 9)) is False
+
+    def test_reversed_interval_rejected(self):
+        with pytest.raises(ValueError):
+            meets((5, 3), (3, 4))
 
 
 class TestCoalesceStar:

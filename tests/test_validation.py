@@ -458,6 +458,13 @@ class TestEdgeRejects:
         with pytest.raises(ValueError):  # a removal row is no pattern event
             pattern_event_from_row(TritemporalEvent("K0", "e0", 3, 3, 1, 1, 0))
 
+    def test_disorder_knobs_out_of_range(self):
+        from cedr.disorder import bounded_shuffle, reencode
+        with pytest.raises(ValueError):
+            bounded_shuffle([], -1, random.Random(1))
+        with pytest.raises(ValueError):
+            reencode([], 1.5, random.Random(1))
+
     def test_ingest_from_outside_a_pipeline_checks_its_row(self):
         inst = OperatorInstance(build_module("sequence", k=2, w=10), MIDDLE)
         composite = TritemporalEvent("K0", "e0", 3, 9, 3, INF, 0,
