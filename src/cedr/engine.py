@@ -398,13 +398,15 @@ class OperatorInstance:
         p = self._ports[port]
         row = self._restamp(row)
         sync = row.o_s if row.k not in p.seen else row.o_e
-        p.seen.add(row.k)
         if sync > self._max_sync:
             self._max_sync = sync
         horizon = self._horizon()
         if sync < horizon:
             self.dropped_rows += 1
             return []
+        # Only an admitted row makes its key seen, so the retraction of a
+        # dropped insertion is read by its o_s and dropped in turn.
+        p.seen.add(row.k)
         if sync > self._max_seen:
             self._max_seen = sync
         heapq.heappush(self._buffer, (sync, row.c_s, port, row, event))

@@ -12,9 +12,11 @@ a query's WHERE clause are attached to plan nodes by
 temporal quantifiers below stay exactly as defined.
 
 Each plan-node kind is defined once, by its entry in :data:`NODE_KINDS`:
-wire tag, variable-binding rule, pure operator and engine facts.  Plan
+wire tag, variable-binding rule, pure operator, engine facts and, for a
+pattern kind, the query operator that lowers to it.  Plan
 traversal, predicate injection, serialization, :func:`evaluate_plan` and
-the engine's modules all read that entry.
+the engine's modules all read that entry, and the query language derives
+the kind's AST class from its plan class (:mod:`cedr.query`).
 """
 
 from __future__ import annotations
@@ -883,13 +885,22 @@ class NodeKind:
     gives a node's operands without the blocker, and ``ports_of`` all of
     them in engine port order: children, then child, then blocker.
     ``required`` names the parameters a module cannot be built without.
+
+    A kind that a query operator lowers to names it in ``query_op``, with
+    the message for a wrong argument count (``usage``), the fewest
+    arguments a variadic form accepts (``least``, 0 for a fixed form) and
+    whether the count ``n`` must lie in ``1..k`` (``count_in_range``).
     """
 
     def __init__(self, cls: type, tag: str, binding: str, run: Operator, *,
                  lag: Callable[[dict], Time] | None = None,
                  retire: Callable[[dict], Time] | None = None,
-                 keep_blocker: bool = False, partition: Callable | None = None):
+                 keep_blocker: bool = False, partition: Callable | None = None,
+                 query_op: str | None = None, usage: str = "", least: int = 0,
+                 count_in_range: bool = False):
         self.cls, self.tag, self.binding, self.run = cls, tag, binding, run
+        self.query_op, self.usage = query_op, usage
+        self.least, self.count_in_range = least, count_in_range
         self.lag, self.retire, self.keep_blocker = lag, retire, keep_blocker
         self.partition = partition
         self.wrapper = lag is None
@@ -945,34 +956,42 @@ NODE_KINDS = (
              lag=_fixed(0), retire=_fixed(0), partition=_leaf_partition),
     NodeKind(SequenceOp, "sequence", POSITIONAL,
              lambda p, ports, accept, blocks: sequence(ports, p["w"], accept=accept),
-             lag=_scope, retire=_scope, partition=_sequence_partition),
+             lag=_scope, retire=_scope, partition=_sequence_partition, query_op="SEQUENCE",
+             usage="SEQUENCE needs at least two operands and a scope", least=3),
     NodeKind(AtLeastOp, "atleast", OPAQUE,
              lambda p, ports, accept, blocks: atleast(p["n"], ports, p["w"], accept=accept),
-             lag=_scope, retire=_scope),
+             lag=_scope, retire=_scope, query_op="ATLEAST", least=3, count_in_range=True,
+             usage="ATLEAST needs a count, operands, and a scope"),
     NodeKind(AtMostOp, "atmost", OPAQUE,
              lambda p, ports, accept, blocks: atmost(p["n"], ports, p["w"], accept=accept),
-             lag=_scope, retire=_scope),
+             lag=_scope, retire=_scope, query_op="ATMOST", least=3,
+             usage="ATMOST needs a count, operands, and a scope"),
     NodeKind(AllOp, "all", OPAQUE,
              lambda p, ports, accept, blocks: all_of(ports, p["w"], accept=accept),
-             lag=_scope, retire=_scope),
+             lag=_scope, retire=_scope, query_op="ALL", least=2,
+             usage="ALL needs operands and a scope"),
     # ANY is ATLEAST(1, ..., 1): its scope is one tick.
     NodeKind(AnyOp, "any", OPAQUE,
              lambda p, ports, accept, blocks: any_of(ports, accept=accept),
-             lag=_fixed(1), retire=_fixed(1)),
+             lag=_fixed(1), retire=_fixed(1), query_op="ANY", least=1,
+             usage="ANY needs at least one operand"),
     NodeKind(UnlessOp, "unless", POSITIONAL,
              lambda p, ports, accept, blocks: unless(ports[0], ports[1], p["w"],
                                                      accept=accept, blocks=blocks),
-             lag=_scope, retire=_scope, partition=_unless_partition),
+             lag=_scope, retire=_scope, partition=_unless_partition, query_op="UNLESS",
+             usage="UNLESS takes (body, blocker, scope) or (body, blocker, n, scope)"),
     NodeKind(NotOp, "not", POSITIONAL,
              lambda p, ports, accept, blocks: not_seq(ports[-1], ports[:-1], p["w"],
                                                       accept=accept, blocks=blocks),
-             lag=_scope, retire=_scope),
+             lag=_scope, retire=_scope, query_op="NOT",
+             usage="NOT takes (event, SEQUENCE(...))"),
     # Cancellation looks back to each event's root time, which is not
     # bounded by any scope: cancellers must never be forgotten.
     NodeKind(CancelWhenOp, "cancel_when", TRANSPARENT,
              lambda p, ports, accept, blocks: cancel_when(ports[0], ports[1],
                                                           accept=accept, blocks=blocks),
-             lag=_fixed(0), retire=_fixed(1), keep_blocker=True),
+             lag=_fixed(0), retire=_fixed(1), keep_blocker=True, query_op="CANCEL-WHEN",
+             usage="CANCEL-WHEN takes (body, canceller)"),
     NodeKind(SliceOp, "slice", TRANSPARENT,
              lambda p, ports, accept, blocks: slice_pattern_events(ports[0], p["occ"],
                                                                    p["valid"])),

@@ -21,9 +21,10 @@ never an exception.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, make_dataclass
 from typing import NamedTuple
 from .patterns import (
+    NODE_KINDS,
     NODE_KINDS_BY_TAG,
     AttrRef,
     Leaf,
@@ -71,111 +72,62 @@ class Binding:
     var: str | None = None
 
 
-@dataclass(frozen=True)
-class SequenceExpr:
-    children: tuple
-    scope: Duration
+def _ast_class(name: str, tag: str) -> type:
+    """The AST class of the plan-node kind ``tag``: its plan class's operand
+    fields in declaration order, ``child`` written ``body``."""
+    plan = NODE_KINDS_BY_TAG[tag].cls
+    cls = make_dataclass(name, [("body" if f.name == "child" else f.name)
+                                for f in fields(plan) if f.name not in ("preds", "neg_preds")],
+                         frozen=True)
+    cls.__module__ = __name__
+    return cls
 
 
-@dataclass(frozen=True)
-class AtLeastExpr:
-    n: int
-    children: tuple
-    scope: Duration
-
-
-@dataclass(frozen=True)
-class AtMostExpr:
-    n: int
-    children: tuple
-    scope: Duration
-
-
-@dataclass(frozen=True)
-class AllExpr:
-    children: tuple
-    scope: Duration
-
-
-@dataclass(frozen=True)
-class AnyExpr:
-    children: tuple
-
-
-@dataclass(frozen=True)
-class UnlessExpr:
-    body: object
-    blocker: object
-    scope: Duration
-
-
-@dataclass(frozen=True)
-class UnlessPrimeExpr:
-    body: object
-    blocker: object
-    n: int
-    scope: Duration
+SequenceExpr = _ast_class("SequenceExpr", "sequence")
+AtLeastExpr = _ast_class("AtLeastExpr", "atleast")
+AtMostExpr = _ast_class("AtMostExpr", "atmost")
+AllExpr = _ast_class("AllExpr", "all")
+AnyExpr = _ast_class("AnyExpr", "any")
+UnlessExpr = _ast_class("UnlessExpr", "unless")
+CancelWhenExpr = _ast_class("CancelWhenExpr", "cancel_when")
 
 
 @dataclass(frozen=True)
 class NotExpr:
+    """NOT's operands in a SEQUENCE, which gives the plan's children and scope."""
     blocker: object
     seq: SequenceExpr
 
 
 @dataclass(frozen=True)
-class CancelWhenExpr:
+class UnlessPrimeExpr:
+    """The start-anchored UNLESS form: parsed and printed, never compiled."""
     body: object
     blocker: object
+    n: int
+    scope: Duration
 
 
-class _Operator:
-    """The facts about one query operator that its AST fields do not show.
-
-    ``classes`` are its AST classes; an operator with several forms takes
-    the one with as many fields as it has arguments.  ``arity`` is the
-    message for a wrong argument count, and ``least`` the fewest arguments
-    a variadic form accepts (0 for a fixed form).  ``count_in_range`` makes
-    the count ``n`` lie in ``1..k``.  ``plan`` is the plan-node class the
-    operator lowers to, the kind tagged with its lower-case name.
-
-    Everything else follows from the fields of each class, by role and in
-    declaration order: ``children`` takes every argument the other fields
-    leave, ``body``, ``blocker`` and ``seq`` one event expression each
-    (``seq`` a SEQUENCE), ``scope`` a duration and ``n`` a plain count.
-    The parser checks, the printer prints and the compiler lowers the
-    fields in that order.
-    """
-
-    def __init__(self, name: str, classes: tuple[type, ...], arity: str, *,
-                 least: int = 0, count_in_range: bool = False):
-        self.name, self.classes, self.arity = name, classes, arity
-        self.least, self.count_in_range = least, count_in_range
-        self.plan = NODE_KINDS_BY_TAG[name.lower().replace("-", "_")].cls
-
-
-_OPERATORS = {op.name: op for op in (
-    _Operator("SEQUENCE", (SequenceExpr,),
-              "SEQUENCE needs at least two operands and a scope", least=3),
-    _Operator("UNLESS", (UnlessExpr, UnlessPrimeExpr),
-              "UNLESS takes (body, blocker, scope) or (body, blocker, n, scope)"),
-    _Operator("NOT", (NotExpr,), "NOT takes (event, SEQUENCE(...))"),
-    _Operator("CANCEL-WHEN", (CancelWhenExpr,), "CANCEL-WHEN takes (body, canceller)"),
-    _Operator("ALL", (AllExpr,), "ALL needs operands and a scope", least=2),
-    _Operator("ANY", (AnyExpr,), "ANY needs at least one operand", least=1),
-    _Operator("ATLEAST", (AtLeastExpr,), "ATLEAST needs a count, operands, and a scope",
-              least=3, count_in_range=True),
-    _Operator("ATMOST", (AtMostExpr,), "ATMOST needs a count, operands, and a scope",
-              least=3),
-)}
+# A query operator is the ``query_op`` of the plan-node kind it lowers to,
+# and its forms are its AST classes; an operator with several forms takes
+# the one with as many fields as it has arguments.  Everything else
+# follows from the fields of each class, by role and in declaration order:
+# ``children`` takes every argument the other fields leave, ``body``,
+# ``blocker`` and ``seq`` one event expression each (``seq`` a SEQUENCE),
+# ``scope`` a duration and ``n`` a plain count.  The parser checks, the
+# printer prints and the compiler lowers the fields in that order.
+_FORMS = {"sequence": (SequenceExpr,), "unless": (UnlessExpr, UnlessPrimeExpr),
+          "not": (NotExpr,), "cancel_when": (CancelWhenExpr,), "all": (AllExpr,),
+          "any": (AnyExpr,), "atleast": (AtLeastExpr,), "atmost": (AtMostExpr,)}
+_OPERATORS = {kind.query_op: kind for kind in NODE_KINDS if kind.query_op}
 OPERATOR_NAMES = tuple(_OPERATORS)
-_OPERATOR_OF = {cls: op for op in _OPERATORS.values() for cls in op.classes}
+_OPERATOR_OF = {cls: kind for kind in _OPERATORS.values() for cls in _FORMS[kind.tag]}
 _FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _OPERATOR_OF}
 
 
-def _operator_of(node) -> _Operator:
+def _fields_of(node) -> tuple[str, ...]:
     try:
-        return _OPERATOR_OF[type(node)]
+        return _FIELDS[type(node)]
     except KeyError:
         raise TypeError(f"not an expression node: {node!r}") from None
 
@@ -436,21 +388,21 @@ class _Parser:
 
     def shape(self, op_tok: _Token, args: list, arg_tokens: list):
         op = _OPERATORS[op_tok.text.upper()]
-        cls = next((c for c in op.classes if (len(args) >= op.least if op.least
+        cls = next((c for c in _FORMS[op.tag] if (len(args) >= op.least if op.least
                                               else len(args) == len(_FIELDS[c]))), None)
         if cls is None:
-            self.error(op_tok, op.arity)
+            self.error(op_tok, op.usage)
         names = _FIELDS[cls]
         values, at = [], 0
         for name in names:
             # ``children`` takes the arguments the other fields leave.
             width = len(args) - len(names) + 1 if name == "children" else 1
-            values.append(self.field_value(op.name, name, args[at:at + width],
+            values.append(self.field_value(op.query_op, name, args[at:at + width],
                                      arg_tokens[at:at + width]))
             at += width
         node = cls(*values)
         if op.count_in_range and not 1 <= node.n <= len(node.children):
-            self.error(op_tok, f"{op.name} count {node.n} outside 1..{len(node.children)}")
+            self.error(op_tok, f"{op.query_op} count {node.n} outside 1..{len(node.children)}")
         return node
 
     def field_value(self, op: str, role: str, args: list, toks: list):
@@ -600,10 +552,9 @@ def _fmt_duration(d: Duration) -> str:
 def _fmt_expr(node) -> str:
     if isinstance(node, Binding):
         return f"{node.type_name} AS {node.var}" if node.var else node.type_name
-    op = _operator_of(node)
     parts = (_FMT_FIELD.get(name, _fmt_expr)(getattr(node, name))
-             for name in _FIELDS[type(node)])
-    return f"{op.name}({', '.join(parts)})"
+             for name in _fields_of(node))
+    return f"{_OPERATOR_OF[type(node)].query_op}({', '.join(parts)})"
 
 
 _FMT_FIELD = {"children": lambda children: ", ".join(map(_fmt_expr, children)),
@@ -671,9 +622,8 @@ def compile_query(ast: QueryAst, ticks_per_minute: int = 1) -> CompileResult:
         if isinstance(node, UnlessPrimeExpr):
             fail("the start-anchored UNLESS variant is parsed but unsupported",
                  "drop the contributor index argument")
-        op = _operator_of(node)
         plan: dict = {}
-        for name in _FIELDS[type(node)]:
+        for name in _fields_of(node):
             value = getattr(node, name)
             if name == "children":
                 plan[name] = tuple(map(lower, value))
@@ -686,7 +636,7 @@ def compile_query(ast: QueryAst, ticks_per_minute: int = 1) -> CompileResult:
                 plan.update(children=seq.children, scope=seq.scope)
             else:
                 plan["child" if name == "body" else name] = lower(value)
-        return op.plan(**plan)
+        return _OPERATOR_OF[type(node)].cls(**plan)
 
     try:
         plan = lower(ast.when)

@@ -459,6 +459,40 @@ class TestWeakDropsBeyondHorizon:
                                 payload=Payload({"g": 0, "x": 5}))
         assert len(inst.ingest(late, 0)) == 1
 
+    def test_retraction_of_a_dropped_insertion_is_dropped(self):
+        # The insertion falls behind the horizon (10) and is dropped; its
+        # retraction must be dropped too, not read as a live [5, 20).
+        inst = OperatorInstance(module_under_test("union"), WEAK)
+        inst.declare_guarantee(10, 0)
+        inst.declare_guarantee(10, 1)
+        payload = Payload({"g": 0, "x": 5})
+        out = inst.ingest(TritemporalEvent("K", "e", 5, INF, 5, INF, 0,
+                                           payload=payload), 0)
+        out += inst.ingest(TritemporalEvent("K", "e", 5, INF, 5, 20, 1,
+                                            payload=payload), 0)
+        out += inst.flush()
+        assert out == []
+        assert inst.metrics()["dropped_rows"] == 2
+        assert all(not p.reduced for p in inst._ports)
+        assert inst.metrics()["max_state_rows"] == 0
+
+    def test_pipeline_drops_the_retraction_of_a_dropped_insertion(self):
+        # SEQUENCE at M = 5: guarantees at 20 put the horizon at 15.
+        pipe = Pipeline(SequenceOp((Leaf("A", "x"), Leaf("B", "y")), 20),
+                        ConsistencyLevel(5, 0))
+        pipe.guarantee("A", 20)
+        pipe.guarantee("B", 20)
+        a1 = PatternEvent("a1", 5, 30, 5, INF, rt=5)
+        pipe.feed("A", pattern_event_to_row(a1, "A:a1", 0))
+        pipe.feed("A", pattern_event_to_row(replace(a1, o_e=20), "A:a1", 1))
+        pipe.feed("B", pattern_event_to_row(
+            PatternEvent("b1", 16, 30, 16, INF, rt=16), "B:b1", 2))
+        pipe.flush()
+        assert pipe.outputs == []
+        root = pipe.root_instance()
+        assert root.metrics()["dropped_rows"] == 2
+        assert not root._ports[0].reduced
+
 
 class TestGuarantees:
     def test_identity_propagation_on_unary(self):

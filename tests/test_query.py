@@ -1,22 +1,37 @@
+import copy
 import hashlib
 import json
+import pickle
 import random
 import re
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 
 import pytest
 
-from cedr.patterns import Leaf, ProjectOp, SequenceOp, SliceOp, UnlessOp, plan_dumps
+import cedr.query
+from cedr.patterns import (
+    NODE_KINDS,
+    Leaf,
+    ProjectOp,
+    SequenceOp,
+    SliceOp,
+    UnlessOp,
+    plan_dumps,
+)
 from cedr.query import (
     AttrOperand,
     Binding,
     CompareItem,
     CorrKeyItem,
     Duration,
+    NotExpr,
+    OPERATOR_NAMES,
     QueryAst,
     SequenceExpr,
     UnlessExpr,
     UnlessPrimeExpr,
+    _OPERATOR_OF,
     ast_to_obj,
     compile_query,
     format_query,
@@ -281,6 +296,71 @@ EXPR_CLASSES = {"SequenceExpr", "AtLeastExpr", "AtMostExpr", "AllExpr", "AnyExpr
 
 def _expr_classes(dump: str) -> set[str]:
     return set(re.findall(r'"node": "(\w+Expr)"', dump))
+
+
+# --- the query operators against the plan-node table --------------------------
+
+# A value for each AST field role: enough to build and lower any node.
+SAMPLE_FIELD = {"children": (Binding("A", "a"), Binding("B", "b")),
+                "body": Binding("A", "a"), "blocker": Binding("C", "c"),
+                "scope": Duration(3, "tick"), "n": 1,
+                "seq": SequenceExpr((Binding("A", "a"), Binding("B", "b")),
+                                    Duration(3, "tick"))}
+AST_CLASSES = list(_OPERATOR_OF)
+HAND_WRITTEN = (NotExpr, UnlessPrimeExpr)
+
+
+def _lowered(cls):
+    """The plan class a node of ``cls`` compiles to, or None if it does not."""
+    node = cls(**{f.name: SAMPLE_FIELD[f.name] for f in fields(cls)})
+    result = compile_query(QueryAst("q", node))
+    return type(result.plan) if result.ok else None
+
+
+class TestOperatorsMatchPlanKinds:
+    def test_one_operator_per_pattern_kind(self):
+        kinds = {k.cls for k in NODE_KINDS if k.cls is not Leaf and not k.wrapper}
+        lowered = [(_OPERATOR_OF[cls].query_op, _lowered(cls)) for cls in AST_CLASSES]
+        reached = [(name, plan) for name, plan in lowered if plan is not None]
+        # Each operator lowers to one kind, and each kind has one operator.
+        assert sorted(name for name, _ in reached) == sorted(OPERATOR_NAMES)
+        assert sorted(plan.__name__ for _, plan in reached) == \
+            sorted(cls.__name__ for cls in kinds)
+        assert [name for name, plan in lowered if plan is None] == ["UNLESS"]
+
+    @pytest.mark.parametrize("cls", [c for c in AST_CLASSES if c not in HAND_WRITTEN],
+                             ids=lambda c: c.__name__)
+    def test_derived_fields_are_the_plan_operands(self, cls):
+        operands = [f.name for f in fields(_lowered(cls))
+                    if f.default is MISSING and f.default_factory is MISSING]
+        assert [f.name for f in fields(cls)] == \
+            ["body" if name == "child" else name for name in operands]
+
+
+def _nodes(value):
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _nodes(item)
+    elif is_dataclass(value):
+        yield value
+        for f in fields(value):
+            yield from _nodes(getattr(value, f.name))
+
+
+class TestAstIdentity:
+    @pytest.mark.parametrize("case", GOLDEN["asts"], ids=lambda c: c["source"])
+    def test_copies_equal_the_parsed_ast(self, case):
+        ast = parse(case["source"]).ast
+        for clone in (pickle.loads(pickle.dumps(ast)), copy.deepcopy(ast)):
+            assert clone == ast and hash(clone) == hash(ast)
+            assert repr(clone) == repr(ast)
+
+    @pytest.mark.parametrize("case", GOLDEN["asts"], ids=lambda c: c["source"])
+    def test_node_classes_are_cedr_query_names(self, case):
+        for node in _nodes(parse(case["source"]).ast):
+            cls = type(node)
+            assert cls.__module__ == "cedr.query"
+            assert getattr(cedr.query, cls.__name__) is cls
 
 
 def generated_query(rng: random.Random, index: int) -> str:
