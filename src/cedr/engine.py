@@ -164,6 +164,11 @@ def merged_event_from_row(r: TritemporalEvent) -> UnitemporalEvent:
 
 # --- operational modules -----------------------------------------------------
 
+def whole_bucket(ports: tuple, changes: list) -> tuple:
+    """The default delta rule: every output goes, and the whole bucket runs again."""
+    return None, (ports,)
+
+
 @dataclass(frozen=True)
 class OpModule:
     """A pure operator plus the engine-facing facts about it.
@@ -180,6 +185,15 @@ class OpModule:
     buckets a change reached since the last one.  ``evaluate`` takes the
     ports and a second argument that no module reads; an instance passes
     None.
+
+    ``delta`` is the module's delta rule.  It takes a stale bucket's ports
+    and the ``(port, event)`` pairs changed in it since its last
+    evaluation, and returns the contributor ids whose outputs go (None for
+    every output) and the port tuples on which ``evaluate`` runs again.
+    Every output of those runs holds one of the ids, and every output of
+    the bucket that holds none is still right.  The default,
+    :func:`whole_bucket`, reads no changes, so an instance records none
+    for it.
     """
 
     name: str
@@ -190,6 +204,7 @@ class OpModule:
     coalescing: bool = False
     retire: Callable[[TritemporalEvent, Time, int], bool] | None = None
     partition: tuple | None = None
+    delta: Callable[[tuple, list], tuple] = whole_bucket
 
 
 def _retire_never(row: TritemporalEvent, horizon: Time, port: int) -> bool:
@@ -289,12 +304,14 @@ def build_module(kind: str, **params) -> OpModule:
                         _retire_never if merged.keeps_history else _retire_after(lag),
                         merged.partition(params) if merged.partition else None)
     run, accept, blocks = node.run, params.get("accept"), params.get("blocks")
-    arity = node.arity(params)
+    arity, delta = node.arity(params), node.delta
     return OpModule(kind, arity, True, lambda ports, store: run(params, ports, accept, blocks),
                     node.lag(params), False,
                     _retire_pattern(node.retire(params),
                                     (arity - 1,) if node.keep_blocker else ()),
-                    params.get("partition"))
+                    params.get("partition"),
+                    whole_bucket if delta is None
+                    else lambda ports, changes: delta(params, ports, changes))
 
 
 # --- the operator instance ---------------------------------------------------
@@ -354,6 +371,10 @@ class OperatorInstance:
         self._outputs: dict[object, dict[tuple, object]] = {}
         self._holders: dict[tuple, tuple] = {}
         self._stale: set = set()
+        # Per stale bucket, the (port, event) pairs changed in it since its
+        # last evaluation, for the delta rule; None for the default rule,
+        # which reads none.
+        self._changes: dict | None = None if module.delta is whole_bucket else {}
         self._buffer: list[tuple] = []
         self._tracked: dict[tuple, _Tracked] = {}
         # What the next reconcile must settle: a tracked key whose output
@@ -537,7 +558,7 @@ class OperatorInstance:
                      if retire(row, horizon, port_i)]
             for k in stale:
                 del p.reduced[k]
-                self._unindex(p, k)
+                self._unindex(port_i, k)
                 changed = True
         if changed:
             # Freeze silently: outputs that are no longer derivable from the
@@ -581,27 +602,43 @@ class OperatorInstance:
         if row.o_s < row.o_e:
             key = self._keys[port]
             joined = (EVERY,) if key is None else key(event)
-            if p.joined.get(row.k) != joined:
-                self._unindex(p, row.k)
+            was = p.joined.get(row.k)
+            if was != joined:
+                if was is not None:
+                    self._unindex(port, row.k)
                 p.joined[row.k] = joined
+            elif joined and self._changes is not None:
+                # The replaced event changed too: its outputs go.
+                self._record(port, joined, p.buckets[joined[0]][row.k])
             # A replaced event keeps its place: operators see their input
             # in first-arrival order, which keeps it close to sorted.
             for bucket in joined:
                 p.buckets.setdefault(bucket, {})[row.k] = event
             self._stale.update(joined)
+            if self._changes is not None:
+                self._record(port, joined, event)
         else:
-            self._unindex(p, row.k)
+            self._unindex(port, row.k)
 
-    def _unindex(self, p: _Port, k: str) -> None:
+    def _unindex(self, port: int, k: str) -> None:
+        p = self._ports[port]
         joined = p.joined.pop(k, None)
         if joined is None:
             return
+        if self._changes is not None and joined:
+            self._record(port, joined, p.buckets[joined[0]][k])
         for bucket in joined:
             events = p.buckets[bucket]
             del events[k]
             if not events:
                 del p.buckets[bucket]
         self._stale.update(joined)
+
+    def _record(self, port: int, joined: tuple, event) -> None:
+        """Note ``event`` as changed in ``port`` of each bucket it joined."""
+        changes = self._changes
+        for bucket in joined:
+            changes.setdefault(bucket, []).append((port, event))
 
     def _refresh(self) -> None:
         """Evaluate the stale buckets and file the keys whose output changed.
@@ -613,10 +650,18 @@ class OperatorInstance:
         move at infinite blocking) evaluates nothing.  A module without a
         partition is one bucket, which every change reaches.
 
-        Every stale bucket is evaluated before any change is filed.  If an
-        evaluation raises, nothing is committed and every stale bucket stays
-        stale, so each later call raises again until the input that caused
-        it is gone, as the one-bucket evaluation of all state would.
+        A stale bucket is evaluated through the module's delta rule, given
+        the events that changed in it (those of the EVERY bucket change
+        every bucket).  Its outputs holding an id the rule names go, and
+        the outputs of the rule's runs of ``evaluate`` take their place by
+        stable key.  The default rule names every output and runs the whole
+        bucket.
+
+        Every stale bucket is evaluated before any change is filed or the
+        record of changes is cleared.  If an evaluation raises, nothing is
+        committed and every stale bucket stays stale, so each later call
+        raises again until the input that caused it is gone, as the
+        one-bucket evaluation of all state would.
 
         Each key that appeared, vanished or changed its end in a bucket's
         output is resolved again over every bucket holding it and filed in
@@ -627,25 +672,34 @@ class OperatorInstance:
             stale = set(self._outputs).union(*(p.buckets for p in self._ports))
         else:
             stale = self._stale
+        changes = self._changes or {}
+        shared = changes.get(EVERY)
+        delta, evaluate = self.module.delta, self.module.evaluate
         results = []
         for bucket in stale:
-            new = {}
             ports = self._bucket_ports(bucket)
-            if ports is not None:
-                self.evaluated_rows += sum(map(len, ports))
-                result = self.module.evaluate(ports, None)
-                new = {self._stable_key(e): e for e in result}
-                if len(new) < len(result):
-                    new = self._longest_lived((self._stable_key(e), e) for e in result)
-            results.append((bucket, new))
+            if ports is None:
+                results.append((bucket, None, None))
+                continue
+            self.evaluated_rows += sum(map(len, ports))
+            mine = changes.get(bucket, ())
+            if shared and bucket is not EVERY:
+                mine = [*mine, *shared]
+            # A bucket that held no events at its last evaluation has no
+            # output for a delta to build on: its matches among the EVERY
+            # bucket's events are new without any of them changing.
+            rule = delta if bucket in self._outputs else whole_bucket
+            gone, reruns = rule(ports, mine)
+            results.append((bucket, gone, [evaluate(sub, None) for sub in reruns]))
         self._stale = set()
+        if changes:
+            self._changes = {}
         changed = []
-        for bucket, new in results:
+        for bucket, gone, outs in results:
+            new = {self._stable_key(e): e for out in outs or () for e in out}
+            if outs and len(new) < sum(map(len, outs)):
+                new = self._longest_lived((self._stable_key(e), e) for out in outs for e in out)
             old = self._outputs.get(bucket, {})
-            if new:
-                self._outputs[bucket] = new
-            else:
-                self._outputs.pop(bucket, None)
             for key, e in new.items():
                 was = old.get(key)
                 if was is None:
@@ -653,16 +707,31 @@ class OperatorInstance:
                     changed.append(key)
                 elif was.o_e != e.o_e:
                     changed.append(key)
-            for key in old:
-                if key not in new:
-                    # Buckets match as dict keys do: by identity, then value.
-                    rest = tuple(b for b in self._holders[key]
-                                 if b is not bucket and b != bucket)
-                    if rest:
-                        self._holders[key] = rest
-                    else:
-                        del self._holders[key]
-                    changed.append(key)
+            if gone is None:
+                goes = [key for key in old if key not in new]
+            else:
+                # Every new output holds a gone id, so none shares its key
+                # with an output that stays.
+                goes = [key for key, e in old.items()
+                        if not gone.isdisjoint(e.cbt) and key not in new]
+                for key in goes:
+                    del old[key]
+                old.update(new)
+                new = old
+            for key in goes:
+                # Buckets match as dict keys do: by identity, then value.
+                rest = tuple(b for b in self._holders[key]
+                             if b is not bucket and b != bucket)
+                if rest:
+                    self._holders[key] = rest
+                else:
+                    del self._holders[key]
+                changed.append(key)
+            # A bucket stays filed, its output possibly empty, while it holds events.
+            if outs is None:
+                self._outputs.pop(bucket, None)
+            else:
+                self._outputs[bucket] = new
         due = self._due
         for key in changed:
             now = self._resolve(key)
@@ -973,9 +1042,14 @@ class Pipeline:
 
     def _push(self, node: _Node, port: int, row: TritemporalEvent,
               event: PatternEvent | None) -> list[TritemporalEvent]:
-        if event is not None and row.o_s < row.o_e:
+        instance = node.instance
+        dropped = instance.dropped_rows
+        out = instance._take(row, port, event)
+        # Only an admitted row's event can be a contributor; the hooks that
+        # read the store look up contributors, never the row's own id.
+        if event is not None and row.o_s < row.o_e and instance.dropped_rows == dropped:
             self._store[row.id] = event
-        return self._forward(node, node.instance._take(row, port, event))
+        return self._forward(node, out)
 
     def _forward(self, node: _Node, out: list[tuple]) -> list[TritemporalEvent]:
         """Hand each (row, event) output to the parent, or release it in wire form."""

@@ -818,6 +818,44 @@ def plan_dumps(node) -> str:
                       allow_nan=False)
 
 
+# --- delta rules ------------------------------------------------------------
+#
+# A delta rule says which of a bucket's outputs a change can reach: it takes
+# the kind's parameters, the bucket's ports and the (port, event) pairs that
+# changed in it, and returns the contributor ids whose outputs go and the
+# port tuples on which the kind's pure operator runs again (see
+# ``engine.OpModule``).  Every output of those runs holds one of the ids.
+
+def _sequence_delta(params: dict, ports: tuple, changes: list) -> tuple:
+    """A composite holding a changed id, found with that id pinned at each position.
+
+    Each run cuts one port down to its events with a changed id, all their
+    lineages, so a composite is found from whichever position holds one.
+    """
+    gone = {e.id for _, e in changes}
+    reruns = []
+    for i, events in enumerate(ports):
+        mine = tuple(e for e in events if e.id in gone)
+        if mine:
+            reruns.append(ports[:i] + (mine,) + ports[i + 1:])
+    return gone, reruns
+
+
+def _unless_delta(params: dict, ports: tuple, changes: list) -> tuple:
+    """The bodies whose id changed, or whose window holds a changed blocker's start."""
+    bodies, blockers = ports
+    w = params["w"]
+    gone = {e.id for port, e in changes if port == 0}
+    starts = sorted(e.v_s for port, e in changes if port == 1)
+    if starts:
+        for e in bodies:
+            i = bisect_right(starts, e.v_s)
+            if i < len(starts) and starts[i] < e.v_s + w:
+                gone.add(e.id)
+    again = tuple(e for e in bodies if e.id in gone)
+    return gone, [(again, blockers)] if again else []
+
+
 # --- the plan-node table -------------------------------------------------------
 #
 # A field's role comes from its name and fixes which operator parameter it
@@ -879,7 +917,9 @@ class NodeKind:
     blocker port when ``keep_blocker`` is set.  A kind without ``lag`` has
     no engine module of its own: it is a wrapper, which a pipeline allows
     only at its root and runs inside the root operator's module, on that
-    operator's output.  ``partition`` gives :func:`make_partition`'s keys.
+    operator's output.  ``partition`` gives :func:`make_partition`'s keys,
+    and ``delta`` the kind's delta rule on its parameters, a bucket's ports
+    and the changes in it; a kind without one runs its whole bucket again.
 
     The rest is derived from the field roles of ``cls``.  ``children_of``
     gives a node's operands without the blocker, and ``ports_of`` all of
@@ -896,13 +936,14 @@ class NodeKind:
                  lag: Callable[[dict], Time] | None = None,
                  retire: Callable[[dict], Time] | None = None,
                  keep_blocker: bool = False, partition: Callable | None = None,
+                 delta: Callable | None = None,
                  query_op: str | None = None, usage: str = "", least: int = 0,
                  count_in_range: bool = False):
         self.cls, self.tag, self.binding, self.run = cls, tag, binding, run
         self.query_op, self.usage = query_op, usage
         self.least, self.count_in_range = least, count_in_range
         self.lag, self.retire, self.keep_blocker = lag, retire, keep_blocker
-        self.partition = partition
+        self.partition, self.delta = partition, delta
         self.wrapper = lag is None
         names = [f.name for f in dataclass_fields(cls)]
         roles = [(name, _ROLES.get(name) or _raw_role(name)) for name in names]
@@ -956,7 +997,8 @@ NODE_KINDS = (
              lag=_fixed(0), retire=_fixed(0), partition=_leaf_partition),
     NodeKind(SequenceOp, "sequence", POSITIONAL,
              lambda p, ports, accept, blocks: sequence(ports, p["w"], accept=accept),
-             lag=_scope, retire=_scope, partition=_sequence_partition, query_op="SEQUENCE",
+             lag=_scope, retire=_scope, partition=_sequence_partition,
+             delta=_sequence_delta, query_op="SEQUENCE",
              usage="SEQUENCE needs at least two operands and a scope", least=3),
     NodeKind(AtLeastOp, "atleast", OPAQUE,
              lambda p, ports, accept, blocks: atleast(p["n"], ports, p["w"], accept=accept),
@@ -978,7 +1020,8 @@ NODE_KINDS = (
     NodeKind(UnlessOp, "unless", POSITIONAL,
              lambda p, ports, accept, blocks: unless(ports[0], ports[1], p["w"],
                                                      accept=accept, blocks=blocks),
-             lag=_scope, retire=_scope, partition=_unless_partition, query_op="UNLESS",
+             lag=_scope, retire=_scope, partition=_unless_partition,
+             delta=_unless_delta, query_op="UNLESS",
              usage="UNLESS takes (body, blocker, scope) or (body, blocker, n, scope)"),
     NodeKind(NotOp, "not", POSITIONAL,
              lambda p, ports, accept, blocks: not_seq(ports[-1], ports[:-1], p["w"],

@@ -289,3 +289,24 @@ def arity_of(kind):
     if kind == "not":
         return 3
     return PATTERN_PARAMS[kind].get("k", 2)
+
+
+def assert_lockstep(subject):
+    """Each bucket's stored output equals its whole-bucket run, ties included.
+
+    ``subject`` is an instance or a pipeline, whose every instance is
+    checked.  A bucket's whole-bucket output is the module's ``evaluate``
+    over all the bucket's live events, by stable key, the longer-lived of
+    two outputs sharing a key kept, as the engine keeps it.  Whatever rule
+    an instance evaluated its buckets by, its stored outputs must equal
+    these, and nothing may be left stale or recorded as changed.
+    """
+    instances = ([n.instance for n in subject._nodes] if hasattr(subject, "_nodes")
+                 else [subject])
+    for inst in instances:
+        assert not inst._stale and not inst._changes, inst.name
+        for bucket in set(inst._outputs).union(*(p.buckets for p in inst._ports)):
+            ports = inst._bucket_ports(bucket)
+            whole = {} if ports is None else inst._longest_lived(
+                (inst._stable_key(e), e) for e in inst.module.evaluate(ports, None))
+            assert inst._outputs.get(bucket, {}) == whole, (inst.name, bucket)

@@ -43,6 +43,7 @@ from engine_harness import (
     MERGED_PARAMS,
     PATTERN_PARAMS,
     arity_of,
+    assert_lockstep,
     content_set,
     encode_stream,
     gen_pattern,
@@ -492,6 +493,21 @@ class TestWeakDropsBeyondHorizon:
         root = pipe.root_instance()
         assert root.metrics()["dropped_rows"] == 2
         assert not root._ports[0].reduced
+
+    def test_pipeline_stores_no_dropped_event(self):
+        # The lineage store holds the events of admitted rows only: an
+        # insertion dropped behind the horizon (15) leaves no entry.
+        pipe = Pipeline(SequenceOp((Leaf("A", "x"), Leaf("B", "y")), 20),
+                        ConsistencyLevel(5, 0))
+        pipe.guarantee("A", 20)
+        pipe.guarantee("B", 20)
+        for i in range(3):
+            pipe.feed("A", pattern_event_to_row(
+                PatternEvent(f"a{i}", 5, 30, 5, INF, rt=5), f"A:a{i}", i))
+        pipe.feed("A", pattern_event_to_row(PatternEvent("a3", 16, 30, 16, INF, rt=16),
+                                            "A:a3", 3))
+        assert pipe.metrics()["total"]["dropped_rows"] == 3
+        assert set(pipe._store) == {"a3"}
 
 
 class TestGuarantees:
@@ -1637,6 +1653,148 @@ class _IdleWatch:
             assert set(ideal) == {inst._stable_key(e) for e in full}, inst.name
             assert set(ideal.values()) <= full, inst.name
             self.before[inst.name] = (now, inst.reconciles, inst.evaluated_rows)
+
+
+class TestDeltaLockstep:
+    """SEQUENCE and UNLESS re-run their operator only where a change reaches.
+
+    Their delta rules re-run the operator on the matches a changed event can
+    be in and keep the rest of a bucket's output.  After every arrival and
+    guarantee, each bucket's stored output must equal the whole-bucket run
+    over its live events, ties between two lineages of one id included
+    (``assert_lockstep``), and at M = inf the flushed output must match the
+    denotation of the final input.
+    """
+
+    LEVELS = (STRONG, MIDDLE, WEAK, ConsistencyLevel(5, 0))
+    PREDS = {"none": None,
+             "x=z": Predicate(AttrRef("x", "M"), "=", AttrRef("z", "M")),
+             "z=x": Predicate(AttrRef("z", "M"), "=", AttrRef("x", "M")),
+             "x!=z": Predicate(AttrRef("x", "M"), "!=", AttrRef("z", "M"))}
+
+    def _module(self, kind, pred, store):
+        from cedr.patterns import make_accept, make_blocks, make_partition
+
+        left = SequenceOp((Leaf("A", "x"), Leaf("B", "y")), 10)
+        right = SequenceOp((Leaf("C", "z"), Leaf("D", "u")), 10)
+        preds = (pred,) if pred else ()
+        if kind == "sequence":
+            plan = SequenceOp((left, right), 20, preds)
+            return build_module("sequence", k=2, w=20, accept=make_accept(plan, store),
+                                partition=make_partition(plan, store))
+        plan = UnlessOp(left, right, 20, (), preds)
+        return build_module("unless", w=20, blocks=make_blocks(plan, store),
+                            partition=make_partition(plan, store))
+
+    @pytest.mark.parametrize("kind", ["sequence", "unless"])
+    @pytest.mark.parametrize("pred", sorted(PREDS))
+    def test_instances(self, kind, pred):
+        # TestBucketedEvaluation's ports: keyed contributors that lack the
+        # attribute, carry a key of another type or are missing from the
+        # store, and primitives on which the key path does not resolve, so
+        # the EVERY and _ABSENT buckets fill, and for UNLESS _UNRESOLVED.
+        # Re-encoding gives two live lineages of one id.
+        from cedr.disorder import rows_from_pattern
+
+        side = TestBucketedEvaluation()._side
+        keyed = 0
+        for trial in range(12):
+            rng = random.Random(f"delta-{kind}-{pred}-{trial}")
+            store = {}
+            ideal = (side(rng, store, "l"), side(rng, store, "r"))
+            module = self._module(kind, self.PREDS[pred], store)
+            keyed += module.partition is not None
+            arrivals = interleave(rng, [
+                encode_stream(rows_from_pattern(events, key_prefix=f"s{port}_"),
+                              rng, skew=rng.randint(0, 4), retract_prob=0.3)
+                for port, events in enumerate(ideal)])
+            schedule = honest_schedule(arrivals, every=3)
+            want = content_set(oracle_rows(module, ideal))
+            for level in self.LEVELS:
+                _, out = run_module(module, arrivals, level, schedule, after=assert_lockstep)
+                if level.memory == INF:
+                    assert content_set(out) == want, (trial, level)
+        assert keyed == (12 if pred in ("x=z", "z=x") else 0)
+
+    @pytest.mark.parametrize("kind", ["sequence", "unless"])
+    def test_a_reused_key_replaces_its_event(self, kind):
+        # A later, shorter row under a key wins its reduce even when it
+        # carries another event: the replaced event's outputs must go too.
+        # For UNLESS the replaced blocker starts elsewhere.
+        inst = OperatorInstance(self._module(kind, None, {}), MIDDLE)
+        b1 = PatternEvent("b1", 3, 30, 3, INF, rt=3)
+        inst.ingest(pattern_event_to_row(PatternEvent("a1", 1, 30, 1, INF, rt=1), "A", 0), 0)
+        inst.ingest(pattern_event_to_row(b1, "B", 1), 1)
+        assert_lockstep(inst)
+        if kind == "sequence":
+            inst.ingest(pattern_event_to_row(PatternEvent("a2", 5, 30, 5, 20, rt=5), "A", 2), 0)
+        else:
+            inst.ingest(pattern_event_to_row(PatternEvent("b2", 25, 40, 25, 30, rt=25), "B", 2), 1)
+        assert_lockstep(inst)
+        assert len(inst._ideal()) == (0 if kind == "sequence" else 1)
+
+    def test_a_raising_run_commits_nothing(self):
+        # An accept hook that raises on one event: every call raises until
+        # that event is removed, and then the stored output is the
+        # whole-bucket run, as if the failed calls had never run.
+        def accept(ctx):
+            if any(e.id == "bad" for _, e in ctx):
+                raise RuntimeError("bad event")
+            return True
+
+        inst = OperatorInstance(build_module("sequence", k=2, w=20, accept=accept), MIDDLE)
+        a = [PatternEvent(f"a{i}", i, 40, i, INF, rt=i) for i in range(3)]
+        for i, e in enumerate(a):
+            inst.ingest(pattern_event_to_row(e, f"A{i}", i), 0)
+        bad = PatternEvent("bad", 5, 40, 5, INF, rt=5)
+        with pytest.raises(RuntimeError):
+            inst.ingest(pattern_event_to_row(bad, "B0", 3), 1)
+        with pytest.raises(RuntimeError):
+            inst.ingest(pattern_event_to_row(PatternEvent("b1", 6, 40, 6, INF, rt=6),
+                                             "B1", 4), 1)
+        inst.ingest(pattern_event_to_row(replace(bad, o_e=5), "B0", 5), 1)
+        assert_lockstep(inst)
+        assert {e.cbt for e in inst._ideal().values()} == {(e.id, "b1") for e in a}
+
+    QUERIES = {
+        "cidr07": TestPipelineCrossLevel.QUERY_PLAN_SOURCES[0],
+        "wrapped": (TestPipelineCrossLevel.QUERY_PLAN_SOURCES[0]
+                    + " OUTPUT Machine_Id @ [6, 40] # [10, 50]"),
+        "self-join": "EVENT q WHEN SEQUENCE(A x, A y, 12) WHERE {x.Machine_Id = y.Machine_Id}",
+        "self-unless": ("EVENT q WHEN UNLESS(A x, A AS y, 6)"
+                        " WHERE {x.Machine_Id != y.Machine_Id}"),
+        "nested": "EVENT q WHEN SEQUENCE(SEQUENCE(A x, B y, 8), C z, 12)",
+    }
+
+    @pytest.mark.parametrize("name", sorted(QUERIES))
+    def test_pipelines(self, name):
+        # Machine ids drawn from three values or missing, so keyed buckets
+        # share events and some events join the _ABSENT bucket.
+        from cedr.disorder import rows_from_pattern
+        from cedr.patterns import evaluate_plan
+        from cedr.query import compile_query, leaf_streams, parse
+
+        def payload_of(rng):
+            if rng.random() < 0.15:
+                return Payload({"Level": 1})
+            return Payload({"Machine_Id": rng.choice(("m1", "m2", "m3"))})
+
+        ast = parse(self.QUERIES[name]).ast
+        plan = compile_query(ast).plan
+        for trial in range(4):
+            rng = random.Random(f"delta-{name}-{trial}")
+            ideal, rows = {}, {}
+            for stream in leaf_streams(ast):
+                ideal[stream] = gen_pattern(rng, f"{stream}_", 14, payload_of=payload_of)
+                rows[stream] = encode_stream(
+                    rows_from_pattern(ideal[stream], key_prefix=f"{stream}k"),
+                    rng, skew=4, retract_prob=0.3)
+            want = content_set(rows_from_pattern(evaluate_plan(plan, ideal), key_prefix="o"))
+            for level in self.LEVELS:
+                pipe = TestPipelineCrossLevel()._drive(plan, rows, level, every=2,
+                                                       after=assert_lockstep)
+                if level.memory == INF:
+                    assert content_set(pipe.outputs) == want, (trial, level)
 
 
 class TestOneBucketReuse:
